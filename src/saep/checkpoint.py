@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, get_type_hints
 
 import numpy as np
 
@@ -30,12 +30,11 @@ VERSION = 1
 _LOSS_CODE = {LOSS_SOFTMAX: 0.0, LOSS_AM_SOFTMAX: 1.0}
 _LOSS_NAME = {v: k for k, v in _LOSS_CODE.items()}
 
-# ModelConfig fields serialized as cfg.<name> scalars, in a fixed order.
-_CFG_FIELDS = ["n_speakers", "n_blocks", "d_m", "d_k", "d_v", "d_ff",
-               "embed_dim", "encoder_dropout", "head_dropout", "loss",
-               "am_scale", "am_margin"]
-_CFG_INT = {"n_speakers", "n_blocks", "d_m", "d_k", "d_v", "d_ff",
-            "embed_dim"}
+# ModelConfig fields serialized as cfg.<name> scalars, in declaration
+# order, each with the type it is read back as.
+_CFG_TYPES = {f.name: get_type_hints(ModelConfig)[f.name]
+              for f in fields(ModelConfig)}
+_OPT_SCALARS = ("lr", "beta1", "beta2", "eps")
 
 
 class CheckpointFormatError(ValueError):
@@ -101,7 +100,7 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     records: Dict[str, np.ndarray] = {}
-    for name in _CFG_FIELDS:
+    for name in _CFG_TYPES:
         value = getattr(ckpt.config, name)
         if name == "loss":
             value = _LOSS_CODE[value]
@@ -112,7 +111,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     # Four 16-bit words keep a full u64 seed exact in float32 records.
     seed_words = [(ckpt.seed >> (16 * w)) & 0xFFFF for w in range(4)]
     records["opt.seed"] = np.asarray(seed_words, dtype=np.float32)
-    for scalar in ("lr", "beta1", "beta2", "eps"):
+    for scalar in _OPT_SCALARS:
         records["opt." + scalar] = np.asarray([getattr(ckpt.opt, scalar)],
                                               dtype=np.float32)
     for name in sorted(ckpt.params):
@@ -125,28 +124,25 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     records = read_records(path)
-    kwargs = {}
-    for name in _CFG_FIELDS:
-        key = "cfg." + name
+    for key in (["cfg." + name for name in _CFG_TYPES]
+                + ["opt." + name for name in ("step", "seed") + _OPT_SCALARS]):
         if key not in records:
-            raise CheckpointFormatError("missing config record %r" % key)
-        raw = float(records[key][0])
+            raise CheckpointFormatError("missing record %r" % key)
+    kwargs = {}
+    for name, kind in _CFG_TYPES.items():
+        raw = float(records["cfg." + name][0])
         if name == "loss":
             if raw not in _LOSS_NAME:
                 raise CheckpointFormatError("unknown loss code %r" % raw)
             kwargs[name] = _LOSS_NAME[raw]
-        elif name in _CFG_INT:
-            kwargs[name] = int(raw)
         else:
-            kwargs[name] = raw
+            kwargs[name] = kind(raw)
     config = ModelConfig(**kwargs).validate()
     params = {name: arr for name, arr in records.items()
               if not name.startswith(("cfg.", "opt."))}
-    opt = AdamState(lr=float(records["opt.lr"][0]),
-                    beta1=float(records["opt.beta1"][0]),
-                    beta2=float(records["opt.beta2"][0]),
-                    eps=float(records["opt.eps"][0]),
-                    step=int(records["opt.step"][0]))
+    step = int(records["opt.step"][0])
+    opt = AdamState(step=step, **{name: float(records["opt." + name][0])
+                                  for name in _OPT_SCALARS})
     for name in params:
         m_key, v_key = "opt.m." + name, "opt.v." + name
         if m_key in records:
@@ -155,8 +151,7 @@ def load_checkpoint(path) -> Checkpoint:
             opt.v[name] = records[v_key]
     seed_words = records["opt.seed"]
     seed = sum(int(seed_words[w]) << (16 * w) for w in range(len(seed_words)))
-    return Checkpoint(config=config, params=params, opt=opt,
-                      step=int(records["opt.step"][0]),
+    return Checkpoint(config=config, params=params, opt=opt, step=step,
                       seed=seed)
 
 

@@ -107,15 +107,20 @@ def _cmd_train(args) -> int:
     model_config, train_config = build_configs(
         sections, n_speakers=manifest.n_speakers,
         steps=args.steps, seed=args.seed)
-    features = features_for_manifest(manifest, args.feature_cache)
     if args.resume is not None:
         ckpt = load_checkpoint(args.resume)
+        if ckpt.config.n_speakers != manifest.n_speakers:
+            raise ValueError(
+                "checkpoint %s has %d speakers but manifest %s has %d"
+                % (args.resume, ckpt.config.n_speakers, args.manifest,
+                   manifest.n_speakers))
         model = model_from_checkpoint(ckpt)
         opt, start_step = ckpt.opt, ckpt.step
         train_config.seed = ckpt.seed
     else:
         model = init_model(model_config, seed=train_config.seed)
         opt, start_step = None, 0
+    features = features_for_manifest(manifest, args.feature_cache)
     log_rows = []
 
     def log(step, loss):

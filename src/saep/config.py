@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from dataclasses import fields
+from typing import Dict, Optional, Tuple, get_type_hints
 
 from .model import ModelConfig, LOSS_SOFTMAX, LOSS_AM_SOFTMAX
 from .train import TrainConfig
@@ -20,29 +21,12 @@ def _parse_loss(text: str) -> str:
     return text
 
 
-# key -> (section, parser)
-_SCHEMA = {
-    "n_speakers": ("model", int),
-    "n_blocks": ("model", int),
-    "d_m": ("model", int),
-    "d_k": ("model", int),
-    "d_v": ("model", int),
-    "d_ff": ("model", int),
-    "embed_dim": ("model", int),
-    "encoder_dropout": ("model", float),
-    "head_dropout": ("model", float),
-    "loss": ("model", _parse_loss),
-    "am_scale": ("model", float),
-    "am_margin": ("model", float),
-    "steps": ("train", int),
-    "batch_size": ("train", int),
-    "seed": ("train", int),
-    "checkpoint_every": ("train", int),
-    "lr": ("train", float),
-    "beta1": ("train", float),
-    "beta2": ("train", float),
-    "eps": ("train", float),
-}
+# key -> (section, parser), one key per ModelConfig / TrainConfig field;
+# numeric values parse with the field's annotated type.
+_SCHEMA = {f.name: (section, _parse_loss if f.name == "loss"
+                    else get_type_hints(cls)[f.name])
+           for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+           for f in fields(cls)}
 
 
 def parse_run_config(path) -> Dict[str, Dict[str, object]]:

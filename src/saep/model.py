@@ -123,23 +123,31 @@ def init_model(config: ModelConfig, seed: int = 0) -> "SaepModel":
     return SaepModel(config, params)
 
 
-def am_softmax_loss(features: Tensor, labels, weight: Tensor,
-                    scale: float, margin: float) -> Tensor:
-    """Additive-margin softmax: cosine logits with ``margin`` subtracted
-    from the true class, all scaled by ``scale``.
+def _am_logits(features: Tensor, weight: Tensor, scale: float,
+              margin: float = 0.0, labels=None) -> Tensor:
+    """Scaled cosine logits; ``margin`` is subtracted from each row's true
+    class when ``labels`` are given.
 
     Feature rows and class columns of ``weight`` are L2-normalized, so the
-    loss is invariant to the magnitude of either.
+    logits are invariant to the magnitude of either.
     """
     feats_n = tz.l2_normalize(features, axis=-1)
     weight_n = tz.l2_normalize(weight, axis=0)
     cos = tz.matmul(feats_n, weight_n)
-    n, c = cos.shape
-    labels = np.asarray(labels, dtype=np.int64)
-    onehot = np.zeros((n, c), dtype=np.float32)
-    onehot[np.arange(n), labels] = 1.0
-    logits = tz.mul(tz.sub(cos, Tensor(margin * onehot)), float(scale))
-    return tz.cross_entropy(logits, labels)
+    if labels is not None:
+        n, c = cos.shape
+        onehot = np.zeros((n, c), dtype=np.float32)
+        onehot[np.arange(n), np.asarray(labels, dtype=np.int64)] = 1.0
+        cos = tz.sub(cos, Tensor(margin * onehot))
+    return tz.mul(cos, float(scale))
+
+
+def am_softmax_loss(features: Tensor, labels, weight: Tensor,
+                    scale: float, margin: float) -> Tensor:
+    """Additive-margin softmax: cross-entropy over the margin-adjusted
+    scaled cosine logits of :func:`_am_logits`."""
+    return tz.cross_entropy(_am_logits(features, weight, scale, margin,
+                                      labels), labels)
 
 
 class SaepModel:
@@ -215,47 +223,54 @@ class SaepModel:
         pooled = tz.reshape(tz.matmul(weights, h), (h.shape[0], h.shape[-1]))
         return tz.reshape(pooled, (h.shape[-1],)) if squeeze else pooled
 
+    def _dense(self, x: Tensor, layer: str) -> Tensor:
+        p = self.params
+        return tz.relu(tz.add(tz.matmul(x, p[layer + ".w"]), p[layer + ".b"]))
+
+    def embed(self, c: Tensor, train: bool = False,
+              rng: Optional[np.random.Generator] = None) -> Tensor:
+        """First two head layers (B x d_m -> B x embed_dim). The embedding
+        is the second hidden layer's post-ReLU activation, before dropout."""
+        h1 = tz.dropout(self._dense(c, "head.fc1"), self.config.head_dropout,
+                        rng, train)
+        return self._dense(h1, "head.fc2")
+
+    def head(self, c: Tensor, train: bool = False,
+             rng: Optional[np.random.Generator] = None
+             ) -> Tuple[Tensor, Tensor]:
+        """Classifier head fc1 -> fc2 -> fc3 with dropout after each layer;
+        returns (embedding, last hidden activation)."""
+        rate = self.config.head_dropout
+        embedding = self.embed(c, train=train, rng=rng)
+        h2 = tz.dropout(embedding, rate, rng, train)
+        h3 = tz.dropout(self._dense(h2, "head.fc3"), rate, rng, train)
+        return embedding, h3
+
+    def output_logits(self, h: Tensor, labels=None) -> Tensor:
+        """Output layer: scaled cosine logits for AM-softmax (with the
+        margin applied when ``labels`` are given), affine logits for
+        softmax."""
+        p = self.params
+        cfg = self.config
+        if cfg.loss == LOSS_AM_SOFTMAX:
+            return _am_logits(h, p["out.w"], cfg.am_scale, cfg.am_margin,
+                             labels)
+        return tz.add(tz.matmul(h, p["out.w"]), p["out.b"])
+
     def head_forward(self, c: Tensor, train: bool = False,
                      rng: Optional[np.random.Generator] = None
                      ) -> Tuple[Tensor, Tensor]:
-        """Classifier head; returns (logits, embedding). The embedding is
-        the second hidden layer's post-ReLU activation, captured before
-        dropout."""
-        p = self.params
-        cfg = self.config
+        """Classifier head plus output layer; returns (logits, embedding)
+        for a single pooled vector (d,) or a batch (B x d)."""
         squeeze = c.ndim == 1
         if squeeze:
             c = tz.reshape(c, (1, c.shape[0]))
-        rate = cfg.head_dropout
-        h1 = tz.relu(tz.add(tz.matmul(c, p["head.fc1.w"]), p["head.fc1.b"]))
-        h1 = tz.dropout(h1, rate, rng, train)
-        embedding = tz.relu(tz.add(tz.matmul(h1, p["head.fc2.w"]),
-                                   p["head.fc2.b"]))
-        h2 = tz.dropout(embedding, rate, rng, train)
-        h3 = tz.relu(tz.add(tz.matmul(h2, p["head.fc3.w"]), p["head.fc3.b"]))
-        h3 = tz.dropout(h3, rate, rng, train)
-        if cfg.loss == LOSS_AM_SOFTMAX:
-            feats_n = tz.l2_normalize(h3, axis=-1)
-            weight_n = tz.l2_normalize(p["out.w"], axis=0)
-            logits = tz.mul(tz.matmul(feats_n, weight_n), cfg.am_scale)
-        else:
-            logits = tz.add(tz.matmul(h3, p["out.w"]), p["out.b"])
+        embedding, last = self.head(c, train=train, rng=rng)
+        logits = self.output_logits(last)
         if squeeze:
             logits = tz.reshape(logits, (logits.shape[-1],))
             embedding = tz.reshape(embedding, (embedding.shape[-1],))
         return logits, embedding
-
-    def classifier_features(self, c: Tensor, train: bool = False,
-                            rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Last hidden activation (input to the output layer)."""
-        p = self.params
-        rate = self.config.head_dropout
-        h1 = tz.relu(tz.add(tz.matmul(c, p["head.fc1.w"]), p["head.fc1.b"]))
-        h1 = tz.dropout(h1, rate, rng, train)
-        h2 = tz.relu(tz.add(tz.matmul(h1, p["head.fc2.w"]), p["head.fc2.b"]))
-        h2 = tz.dropout(h2, rate, rng, train)
-        h3 = tz.relu(tz.add(tz.matmul(h2, p["head.fc3.w"]), p["head.fc3.b"]))
-        return tz.dropout(h3, rate, rng, train)
 
     # -- end to end --------------------------------------------------------
 
@@ -268,14 +283,8 @@ class SaepModel:
             raise tz.DimensionError("expected B x T x %d batch, got %s"
                                     % (self.config.d_m, x.shape))
         h = self.encode(x, train=train, rng=rng)
-        pooled = self.attention_pool(h)
-        feats = self.classifier_features(pooled, train=train, rng=rng)
-        if self.config.loss == LOSS_AM_SOFTMAX:
-            return am_softmax_loss(feats, labels, self.params["out.w"],
-                                   self.config.am_scale, self.config.am_margin)
-        logits = tz.add(tz.matmul(feats, self.params["out.w"]),
-                        self.params["out.b"])
-        return tz.cross_entropy(logits, labels)
+        _, last = self.head(self.attention_pool(h), train=train, rng=rng)
+        return tz.cross_entropy(self.output_logits(last, labels), labels)
 
     def logits_eval(self, batch: np.ndarray) -> np.ndarray:
         """Eval-mode class logits for a batch of chunks (for accuracy)."""
@@ -293,8 +302,8 @@ class SaepModel:
         with tz.no_grad():
             h = self.encode(Tensor(feats.frames), train=False)
             pooled = self.attention_pool(h)
-            _, embedding = self.head_forward(pooled, train=False)
-        return SpeakerEmbedding(vector=embedding.data.copy(),
+            embedding = self.embed(tz.reshape(pooled, (1, pooled.shape[0])))
+        return SpeakerEmbedding(vector=embedding.data[0].copy(),
                                 utterance_id=feats.utterance_id)
 
     # -- accounting --------------------------------------------------------

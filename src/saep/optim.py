@@ -9,39 +9,30 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Parameter", "ParameterSet", "AdamState", "adam_step",
-           "MissingGradientError"]
+__all__ = ["ParameterSet", "AdamState", "adam_step", "MissingGradientError"]
 
 
 class MissingGradientError(RuntimeError):
     """adam_step was called before gradients were populated."""
 
 
-@dataclass
-class Parameter:
-    name: str
-    value: Tensor
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("parameter name must be non-empty")
-        self.value.requires_grad = True
-
-
 class ParameterSet:
-    """Ordered collection of uniquely named parameters."""
+    """Ordered collection of uniquely named trainable tensors."""
 
     def __init__(self):
-        self._params: Dict[str, Parameter] = {}
+        self._params: Dict[str, Tensor] = {}
 
     def add(self, name: str, value: Tensor) -> Tensor:
+        if not name:
+            raise ValueError("parameter name must be non-empty")
         if name in self._params:
             raise ValueError("duplicate parameter name: %r" % name)
-        self._params[name] = Parameter(name, value)
+        value.requires_grad = True
+        self._params[name] = value
         return value
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._params[name].value
+        return self._params[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -50,17 +41,14 @@ class ParameterSet:
         return len(self._params)
 
     def items(self) -> Iterator[Tuple[str, Tensor]]:
-        return ((n, p.value) for n, p in self._params.items())
+        return iter(self._params.items())
 
     def names(self):
         return list(self._params.keys())
 
     def zero_grad(self):
-        for p in self._params.values():
-            p.value.zero_grad()
-
-    def num_elements(self) -> int:
-        return sum(p.value.data.size for p in self._params.values())
+        for value in self._params.values():
+            value.zero_grad()
 
 
 @dataclass
@@ -74,12 +62,6 @@ class AdamState:
     step: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
-
-    def buffers_for(self, name: str, shape) -> Tuple[np.ndarray, np.ndarray]:
-        if name not in self.m:
-            self.m[name] = np.zeros(shape, dtype=np.float32)
-            self.v[name] = np.zeros(shape, dtype=np.float32)
-        return self.m[name], self.v[name]
 
 
 def adam_step(params: ParameterSet, state: AdamState) -> None:
@@ -100,7 +82,10 @@ def adam_step(params: ParameterSet, state: AdamState) -> None:
     corr2 = one - b2 ** np.float32(t)
     for name, value in params.items():
         g = value.grad
-        m, v = state.buffers_for(name, value.data.shape)
+        if name not in state.m:
+            state.m[name] = np.zeros(value.data.shape, dtype=np.float32)
+            state.v[name] = np.zeros(value.data.shape, dtype=np.float32)
+        m, v = state.m[name], state.v[name]
         m[...] = b1 * m + (one - b1) * g
         v[...] = b2 * v + (one - b2) * (g * g)
         mhat = m / corr1

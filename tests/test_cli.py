@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from saep.checkpoint import load_checkpoint, read_records
+from saep.checkpoint import load_checkpoint, read_records, write_records
 from saep.cli import main
 from saep.config import RunConfigError, build_configs, parse_run_config
 from saep.manifest import load_manifest
@@ -206,6 +206,41 @@ class TestErrors:
                    "--out", str(tmp_path / "e.bin")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_checkpoint_without_optimizer_records(self, trained, tmp_path,
+                                                  mini_corpus, capsys):
+        records = read_records(trained / "model.ckpt")
+        stripped = tmp_path / "no_opt.ckpt"
+        write_records(stripped, {name: arr for name, arr in records.items()
+                                 if not name.startswith("opt.")})
+        rc = main(["extract", "--checkpoint", str(stripped),
+                   "--manifest", mini_corpus.manifest_path,
+                   "--out", str(tmp_path / "e.bin")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and "missing record 'opt." in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n_speakers", [2, 4])
+    def test_resume_with_other_speaker_count(self, trained, tmp_path,
+                                             mini_corpus, capsys, n_speakers):
+        entries = list(mini_corpus.manifest.entries)
+        if n_speakers == 2:
+            entries = [e for e in entries if e[1] != entries[0][1]]
+        else:  # one new speaker, reusing a recording
+            entries.append(("new_utt", "new_speaker", entries[0][2]))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join("%s %s %s\n" % e for e in entries))
+        rc = main(["train", "--config", str(trained / "run.cfg"),
+                   "--manifest", str(manifest), "--steps", "3",
+                   "--resume", str(trained / "model.ckpt"),
+                   "--out", str(tmp_path / "resumed.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and "3 speakers" in err
+        assert "has %d" % n_speakers in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "resumed.ckpt").exists()
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

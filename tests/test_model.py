@@ -258,6 +258,20 @@ class TestForwardLoss:
         loss = model.forward_loss(batch, labels, train=True, rng=rng)
         assert np.isfinite(loss.item())
 
+    @pytest.mark.parametrize("overrides", [
+        dict(loss="softmax"), dict(loss="am_softmax", am_margin=0.0)])
+    def test_eval_loss_matches_eval_logits(self, overrides):
+        # Training loss and eval logits go through the same head and output
+        # layer; with dropout off and no margin they must agree exactly.
+        model = init_model(tiny_config(encoder_dropout=0.1, head_dropout=0.2,
+                                       **overrides), seed=2)
+        batch = np.random.default_rng(21).standard_normal((3, 9, 6)) \
+            .astype(np.float32)
+        labels = [0, 2, 1]
+        loss = model.forward_loss(batch, labels, train=False)
+        ref = tz.cross_entropy(Tensor(model.logits_eval(batch)), labels)
+        assert loss.item() == ref.item()
+
     @pytest.mark.parametrize("loss_name", ["softmax", "am_softmax"])
     def test_gradient_check_tiny_config(self, loss_name):
         model = init_model(tiny_config(loss=loss_name), seed=1)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from saep.optim import AdamState, MissingGradientError, Parameter, \
-    ParameterSet, adam_step
+from saep.optim import AdamState, MissingGradientError, ParameterSet, \
+    adam_step
 from saep.tensor import Tensor
 
 
@@ -15,7 +15,7 @@ def make_params(values):
 
 def test_parameter_name_must_be_nonempty():
     with pytest.raises(ValueError):
-        Parameter("", Tensor([1.0]))
+        ParameterSet().add("", Tensor([1.0]))
 
 
 def test_duplicate_names_rejected():
