@@ -10,6 +10,8 @@ name prefixes; Adam moment buffers live under ``opt.m.`` / ``opt.v.``.
 from __future__ import annotations
 
 import io
+import math
+import os
 import struct
 from dataclasses import dataclass, fields
 from typing import Dict, get_type_hints
@@ -46,7 +48,7 @@ def write_records(path, records: Dict[str, np.ndarray]) -> None:
     buf.write(MAGIC)
     buf.write(struct.pack("<II", VERSION, len(records)))
     for name, arr in records.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.asarray(arr, dtype="<f4")
         name_bytes = name.encode("utf-8")
         buf.write(struct.pack("<I", len(name_bytes)))
         buf.write(name_bytes)
@@ -65,9 +67,17 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _check_fits(fh, size: int, n: int, what: str) -> None:
+    if n > size - fh.tell():
+        raise CheckpointFormatError(
+            "truncated file: %s claims %d bytes but only %d remain"
+            % (what, n, size - fh.tell()))
+
+
 def read_records(path) -> Dict[str, np.ndarray]:
     records: Dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
             raise CheckpointFormatError("bad magic %r (expected %r)"
@@ -78,13 +88,17 @@ def read_records(path) -> Dict[str, np.ndarray]:
                                         % version)
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
+            _check_fits(fh, size, name_len, "record name")
             name = _read_exact(fh, name_len, "name").decode("utf-8")
+            if name in records:
+                raise CheckpointFormatError("duplicate record %r" % name)
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             shape = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8, "extent"))[0]
                 for _ in range(rank))
-            n_elems = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 4 * n_elems, "data of %r" % name)
+            n_bytes = 4 * math.prod(shape)
+            _check_fits(fh, size, n_bytes, "data of %r" % name)
+            raw = _read_exact(fh, n_bytes, "data of %r" % name)
             records[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     return records
 

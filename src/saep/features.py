@@ -60,16 +60,14 @@ def _mel_to_hz(m):
 
 
 @lru_cache(maxsize=None)
-def _mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE,
-                    fmin=0.0, fmax=None) -> np.ndarray:
-    """Triangular filters on the rfft bin grid, shape n_mels x (n_fft/2+1)."""
-    if fmax is None:
-        fmax = sr / 2
-    mel_pts = np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2)
+def _mel_filterbank() -> np.ndarray:
+    """Triangular filters on the rfft bin grid, shape N_MELS x (N_FFT/2+1)."""
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2),
+                          N_MELS + 2)
     hz_pts = _mel_to_hz(mel_pts)
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sr / n_fft)
-    fb = np.zeros((n_mels, n_fft // 2 + 1), dtype=np.float64)
-    for i in range(n_mels):
+    bin_freqs = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
+    fb = np.zeros((N_MELS, N_FFT // 2 + 1), dtype=np.float64)
+    for i in range(N_MELS):
         left, center, right = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
         up = (bin_freqs - left) / (center - left)
         down = (right - bin_freqs) / (right - center)
@@ -78,16 +76,17 @@ def _mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sr=SAMPLE_RATE,
 
 
 @lru_cache(maxsize=None)
-def _hann(n=WINDOW) -> np.ndarray:
+def _hann() -> np.ndarray:
     # Periodic Hann, the usual STFT choice.
-    return (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).astype(np.float32)
+    n = np.arange(WINDOW)
+    return (0.5 - 0.5 * np.cos(2.0 * np.pi * n / WINDOW)).astype(np.float32)
 
 
-def num_frames(n_samples: int, window: int = WINDOW, hop: int = HOP) -> int:
-    if n_samples < window:
+def num_frames(n_samples: int) -> int:
+    if n_samples < WINDOW:
         raise TooShortError("clip of %d samples is shorter than one %d-sample "
-                            "window" % (n_samples, window))
-    return 1 + (n_samples - window) // hop
+                            "window" % (n_samples, WINDOW))
+    return 1 + (n_samples - WINDOW) // HOP
 
 
 def mfcc(clip: AudioClip) -> np.ndarray:
@@ -120,7 +119,8 @@ def append_deltas(static: np.ndarray) -> np.ndarray:
     return np.concatenate([static, d1, d2], axis=1)
 
 
-def _delta(feats: np.ndarray, n: int = DELTA_WINDOW) -> np.ndarray:
+def _delta(feats: np.ndarray) -> np.ndarray:
+    n = DELTA_WINDOW
     padded = np.pad(feats, ((n, n), (0, 0)), mode="edge")
     t = feats.shape[0]
     num = np.zeros_like(feats, dtype=np.float64)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -67,14 +68,24 @@ def score_trials(trials: List[Trial],
     return scored
 
 
-def _split_scores(scores: List[ScoredTrial]) -> Tuple[np.ndarray, np.ndarray]:
-    targets = np.asarray([s.score for s in scores if s.label == 1])
-    nontargets = np.asarray([s.score for s in scores if s.label == 0])
+def _det(scores: List[ScoredTrial]) -> Tuple[np.ndarray, ...]:
+    """Thresholds with their FAR and FRR, as arrays: every distinct score
+    plus one threshold above the maximum, which closes the staircase at
+    (0, 1). Each count is the number of sorted scores below a threshold."""
+    values = np.asarray([s.score for s in scores], dtype=np.float64)
+    labels = np.asarray([s.label for s in scores])
+    targets = np.sort(values[labels == 1])
+    nontargets = np.sort(values[labels == 0])
     if len(targets) == 0 or len(nontargets) == 0:
         raise TrialListError("need at least one target and one nontarget "
                              "trial (got %d/%d)"
                              % (len(targets), len(nontargets)))
-    return targets, nontargets
+    thresholds = np.unique(np.concatenate([targets, nontargets]))
+    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    n_non, n_tgt = len(nontargets), len(targets)
+    far = (n_non - np.searchsorted(nontargets, thresholds, "left")) / n_non
+    frr = np.searchsorted(targets, thresholds, "left") / n_tgt
+    return thresholds, far, frr
 
 
 def det_points(scores: List[ScoredTrial]) -> List[Tuple[float, float, float]]:
@@ -84,58 +95,54 @@ def det_points(scores: List[ScoredTrial]) -> List[Tuple[float, float, float]]:
     threshold counts as a false accept and a target below it as a false
     reject. FAR is non-increasing and FRR non-decreasing in the threshold.
     """
-    targets, nontargets = _split_scores(scores)
-    all_scores = np.concatenate([targets, nontargets])
-    thresholds = np.unique(all_scores)
-    # One threshold above the maximum closes the staircase at (0, 1).
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    points = []
-    for t in thresholds:
-        far = float((nontargets >= t).mean())
-        frr = float((targets < t).mean())
-        points.append((float(t), far, frr))
-    return points
+    thresholds, far, frr = _det(scores)
+    return list(zip(thresholds.tolist(), far.tolist(), frr.tolist()))
 
 
 def compute_eer(scores: List[ScoredTrial]) -> Tuple[float, float]:
     """Equal error rate and its threshold, by linear interpolation between
     the adjacent operating points where FAR - FRR changes sign."""
-    points = det_points(scores)
-    diffs = [far - frr for _, far, frr in points]
-    for i, d in enumerate(diffs):
-        if d == 0.0:
-            return points[i][1], points[i][0]
-        if i + 1 < len(diffs) and d > 0.0 and diffs[i + 1] < 0.0:
-            t0, far0, frr0 = points[i]
-            t1, far1, frr1 = points[i + 1]
-            alpha = d / (d - diffs[i + 1])
-            eer = 0.5 * ((far0 + alpha * (far1 - far0))
-                         + (frr0 + alpha * (frr1 - frr0)))
-            return float(eer), float(t0 + alpha * (t1 - t0))
-    # FAR starts at 1/FRR at 0 and ends at 0/1, so a crossing always exists;
-    # reaching here means every diff was positive except a terminal zero.
-    raise AssertionError("no FAR/FRR crossing found")
+    t, far, frr = _det(scores)
+    d = far - frr
+    cross = d == 0.0
+    cross[:-1] |= (d[:-1] > 0.0) & (d[1:] < 0.0)
+    # d starts at 1 (every trial accepted) and ends at -1 (every trial
+    # rejected), so a crossing always exists.
+    i = int(np.flatnonzero(cross)[0])
+    if d[i] == 0.0:
+        return float(far[i]), float(t[i])
+    alpha = d[i] / (d[i] - d[i + 1])
+    eer = 0.5 * ((far[i] + alpha * (far[i + 1] - far[i]))
+                 + (frr[i] + alpha * (frr[i + 1] - frr[i])))
+    return float(eer), float(t[i] + alpha * (t[i + 1] - t[i]))
 
 
 # -- text formats ----------------------------------------------------------
 
-def load_trials(path) -> List[Trial]:
-    trials = []
+def _read_rows(path, n_fields: int, usage: str,
+               what: str) -> Iterator[Tuple[int, List[str]]]:
+    """Yield (line number, fields) for each non-blank line of a text file of
+    ``n_fields`` whitespace-separated fields ending in
+    ``<0|1> <enroll_id> <test_id>``."""
+    empty = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("0", "1"):
-                raise TrialListError(
-                    "%s:%d: expected '<0|1> <enroll_id> <test_id>', got %r"
-                    % (path, lineno, line))
-            trials.append(Trial(label=int(parts[0]), enroll_id=parts[1],
-                                test_id=parts[2]))
-    if not trials:
-        raise TrialListError("%s: trial list is empty" % path)
-    return trials
+            if not parts:
+                continue
+            if len(parts) != n_fields or parts[-3] not in ("0", "1"):
+                raise TrialListError("%s:%d: expected %r, got %r"
+                                     % (path, lineno, usage, line.strip()))
+            empty = False
+            yield lineno, parts
+    if empty:
+        raise TrialListError("%s: %s is empty" % (path, what))
+
+
+def load_trials(path) -> List[Trial]:
+    return [Trial(label=int(label), enroll_id=enroll_id, test_id=test_id)
+            for _, (label, enroll_id, test_id) in _read_rows(
+                path, 3, "<0|1> <enroll_id> <test_id>", "trial list")]
 
 
 def save_trials(trials: List[Trial], path) -> None:
@@ -153,19 +160,15 @@ def save_scores(scores: List[ScoredTrial], path) -> None:
 
 def load_scores(path) -> List[ScoredTrial]:
     scores = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4 or parts[1] not in ("0", "1"):
-                raise TrialListError(
-                    "%s:%d: expected '<score> <0|1> <enroll_id> <test_id>', "
-                    "got %r" % (path, lineno, line))
-            scores.append(ScoredTrial(score=float(parts[0]),
-                                      label=int(parts[1]),
-                                      enroll_id=parts[2], test_id=parts[3]))
-    if not scores:
-        raise TrialListError("%s: score file is empty" % path)
+    for lineno, (score, label, enroll_id, test_id) in _read_rows(
+            path, 4, "<score> <0|1> <enroll_id> <test_id>", "score file"):
+        try:
+            value = float(score)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise TrialListError("%s:%d: score must be a finite number, "
+                                 "got %r" % (path, lineno, score))
+        scores.append(ScoredTrial(score=value, label=int(label),
+                                  enroll_id=enroll_id, test_id=test_id))
     return scores

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from saep.synth import synth_corpus
+
+# No deadline: example timings on a shared host drift by tens of percent.
+# Derandomized, so that every run of the suite draws the same examples.
+settings.register_profile("saep", deadline=None, derandomize=True)
+settings.load_profile("saep")
 
 
 @pytest.fixture(scope="session")

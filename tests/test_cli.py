@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,17 @@ class TestCountParams:
             in capsys.readouterr().out
 
 
+def write_raw_records(path, records):
+    """A record file built by hand from (name, extents, data bytes), so that
+    its header can claim what ``write_records`` never writes."""
+    parts = [b"SAEP", struct.pack("<II", 1, len(records))]
+    for name, shape, data in records:
+        name = name.encode("utf-8")
+        parts += [struct.pack("<I", len(name)), name,
+                  struct.pack("<I%dQ" % len(shape), len(shape), *shape), data]
+    path.write_bytes(b"".join(parts))
+
+
 class TestErrors:
     def test_missing_manifest(self, tmp_path, capsys):
         rc = main(["train", "--manifest", str(tmp_path / "nope.txt"),
@@ -241,6 +254,31 @@ class TestErrors:
         assert "has %d" % n_speakers in err
         assert "Traceback" not in err
         assert not (tmp_path / "resumed.ckpt").exists()
+
+    @pytest.mark.parametrize("score", ["abc", "nan", "-inf"])
+    def test_score_file_with_bad_score(self, tmp_path, capsys, score):
+        path = tmp_path / "scores.txt"
+        path.write_text("%s 1 a b\n0.100000 0 c d\n" % score)
+        assert main(["eval", "--scores", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and ":1:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("records,fragment", [
+        ([("a", (2 ** 20, 2 ** 20), b"")], "claims"),
+        ([("a", (2,), bytes(8)), ("a", (2,), bytes(8))], "duplicate"),
+    ], ids=["oversized_extents", "duplicate_name"])
+    def test_malformed_embedding_archive(self, tmp_path, mini_corpus, capsys,
+                                         records, fragment):
+        archive = tmp_path / "embeddings.bin"
+        write_raw_records(archive, records)
+        rc = main(["score", "--embeddings", str(archive),
+                   "--trials", mini_corpus.trials_path,
+                   "--out", str(tmp_path / "scores.txt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and fragment in err
+        assert "Traceback" not in err
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

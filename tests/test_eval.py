@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from saep.model import SpeakerEmbedding
 from saep.verification import ScoredTrial, Trial, TrialListError, \
@@ -89,6 +90,50 @@ class TestDetPoints:
     def test_needs_both_classes(self):
         with pytest.raises(TrialListError):
             det_points(scored([0.5], []))
+
+
+def reference_det(scores):
+    """The per-threshold mask loop: FAR and FRR counted at every distinct
+    score and at one threshold above the maximum."""
+    targets = np.asarray([s.score for s in scores if s.label == 1])
+    nontargets = np.asarray([s.score for s in scores if s.label == 0])
+    thresholds = np.unique(np.concatenate([targets, nontargets]))
+    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    return [(float(t), float((nontargets >= t).mean()),
+             float((targets < t).mean())) for t in thresholds]
+
+
+def reference_eer(scores):
+    points = reference_det(scores)
+    diffs = [far - frr for _, far, frr in points]
+    for i, d in enumerate(diffs):
+        if d == 0.0:
+            return points[i][1], points[i][0]
+        if d > 0.0 and diffs[i + 1] < 0.0:
+            t0, far0, frr0 = points[i]
+            t1, far1, frr1 = points[i + 1]
+            alpha = d / (d - diffs[i + 1])
+            eer = 0.5 * ((far0 + alpha * (far1 - far0))
+                         + (frr0 + alpha * (frr1 - frr0)))
+            return eer, t0 + alpha * (t1 - t0)
+
+
+# Quarter steps in [-2, 2]: few distinct values, so ties within and across
+# the two classes are common.
+tied_scores = st.lists(st.integers(-8, 8).map(lambda k: k / 4.0),
+                       min_size=1, max_size=40)
+
+
+class TestAgainstReference:
+    @given(targets=tied_scores, nontargets=tied_scores)
+    def test_det_points_equal_reference(self, targets, nontargets):
+        trials = scored(targets, nontargets)
+        assert det_points(trials) == reference_det(trials)
+
+    @given(targets=tied_scores, nontargets=tied_scores)
+    def test_compute_eer_equals_reference(self, targets, nontargets):
+        trials = scored(targets, nontargets)
+        assert compute_eer(trials) == reference_eer(trials)
 
 
 class TestComputeEer:

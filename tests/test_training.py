@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from saep.checkpoint import Checkpoint, CheckpointFormatError, \
     load_checkpoint, model_from_checkpoint, read_records, save_checkpoint, \
@@ -150,6 +152,21 @@ class TestCheckpointFormat:
         assert set(loaded) == set(records)
         for name in records:
             np.testing.assert_array_equal(loaded[name], records[name])
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(
+        st.text(),
+        arrays(np.float32, array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                        max_side=3),
+               elements=st.floats(width=32))))
+    def test_records_roundtrip_any_names_and_shapes(self, tmp_path, records):
+        path = tmp_path / "r.bin"
+        write_records(path, records)
+        loaded = read_records(path)
+        assert list(loaded) == list(records)
+        for name, arr in records.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
