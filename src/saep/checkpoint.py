@@ -86,10 +86,16 @@ def read_records(path) -> Dict[str, np.ndarray]:
         if version != VERSION:
             raise CheckpointFormatError("unsupported format version %d"
                                         % version)
-        for _ in range(count):
+        for index in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
             _check_fits(fh, size, name_len, "record name")
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            raw_name = _read_exact(fh, name_len, "name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointFormatError(
+                    "%s: record %d has a name that is not UTF-8: %r"
+                    % (path, index, raw_name)) from None
             if name in records:
                 raise CheckpointFormatError("duplicate record %r" % name)
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
@@ -99,7 +105,13 @@ def read_records(path) -> Dict[str, np.ndarray]:
             n_bytes = 4 * math.prod(shape)
             _check_fits(fh, size, n_bytes, "data of %r" % name)
             raw = _read_exact(fh, n_bytes, "data of %r" % name)
-            records[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            try:
+                records[name] = np.frombuffer(raw, dtype="<f4").reshape(
+                    shape).copy()
+            except ValueError:  # e.g. extents (0, 2**63): no data, no array
+                raise CheckpointFormatError(
+                    "%s: record %r has extents %s, too large for an array"
+                    % (path, name, shape)) from None
     return records
 
 

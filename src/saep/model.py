@@ -162,26 +162,21 @@ class SaepModel:
     def qkv_project(self, x: Tensor, block: int) -> Tuple[Tensor, Tensor, Tensor]:
         p = self.params
         pre = "enc%d." % block
-        q = tz.matmul(x, p[pre + "w_q"])
-        k = tz.matmul(x, p[pre + "w_k"])
-        v = tz.matmul(x, p[pre + "w_v"])
+        q = tz.linear(x, p[pre + "w_q"])
+        k = tz.linear(x, p[pre + "w_k"])
+        v = tz.linear(x, p[pre + "w_v"])
         return q, k, v
 
     @staticmethod
     def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                              trace: Optional[list] = None) -> Tensor:
-        d_k = q.shape[-1]
-        scores = tz.mul(tz.matmul(q, tz.transpose(k)), 1.0 / np.sqrt(d_k))
-        weights = tz.softmax_rows(scores)
-        if trace is not None:
-            trace.append(weights.data.copy())
-        return tz.matmul(weights, v)
+        return tz.attention(q, k, v, trace=trace)
 
     def position_ffn(self, h: Tensor, block: int) -> Tensor:
         p = self.params
         pre = "enc%d." % block
-        hidden = tz.relu(tz.add(tz.matmul(h, p[pre + "w_1"]), p[pre + "b_1"]))
-        return tz.add(tz.matmul(hidden, p[pre + "w_2"]), p[pre + "b_2"])
+        hidden = tz.relu(tz.linear(h, p[pre + "w_1"], p[pre + "b_1"]))
+        return tz.linear(hidden, p[pre + "w_2"], p[pre + "b_2"])
 
     def encoder_block(self, x: Tensor, block: int, train: bool = False,
                       rng: Optional[np.random.Generator] = None,
@@ -191,7 +186,7 @@ class SaepModel:
         pre = "enc%d." % block
         q, k, v = self.qkv_project(x, block)
         attn = self.scaled_dot_attention(q, k, v, trace=trace)
-        proj = tz.matmul(attn, p[pre + "w_o"])
+        proj = tz.linear(attn, p[pre + "w_o"])
         proj = tz.dropout(proj, c.encoder_dropout, rng, train)
         s1 = tz.layer_norm(tz.add(x, proj), p[pre + "ln1.gain"],
                            p[pre + "ln1.bias"])
@@ -216,7 +211,7 @@ class SaepModel:
         squeeze = h.ndim == 2
         if squeeze:
             h = tz.reshape(h, (1,) + h.shape)
-        scores = tz.transpose(tz.matmul(h, self.params["pool.w_c"]))  # B x 1 x T
+        scores = tz.transpose(tz.linear(h, self.params["pool.w_c"]))  # B x 1 x T
         weights = tz.softmax_rows(scores)
         if trace is not None:
             trace.append(weights.data.copy())
@@ -225,7 +220,7 @@ class SaepModel:
 
     def _dense(self, x: Tensor, layer: str) -> Tensor:
         p = self.params
-        return tz.relu(tz.add(tz.matmul(x, p[layer + ".w"]), p[layer + ".b"]))
+        return tz.relu(tz.linear(x, p[layer + ".w"], p[layer + ".b"]))
 
     def embed(self, c: Tensor, train: bool = False,
               rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -255,7 +250,7 @@ class SaepModel:
         if cfg.loss == LOSS_AM_SOFTMAX:
             return _am_logits(h, p["out.w"], cfg.am_scale, cfg.am_margin,
                              labels)
-        return tz.add(tz.matmul(h, p["out.w"]), p["out.b"])
+        return tz.linear(h, p["out.w"], p["out.b"])
 
     def head_forward(self, c: Tensor, train: bool = False,
                      rng: Optional[np.random.Generator] = None

@@ -27,6 +27,8 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "linear",
+    "attention",
     "transpose",
     "reshape",
     "relu",
@@ -274,6 +276,75 @@ def matmul(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), backward)
 
 
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w (+ b)`` over the trailing axis of ``x``, with any leading
+    axes flattened into the rows of one 2-D GEMM in both passes."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise DimensionError("linear needs (..., d) @ (d, k), got %s x %s"
+                             % (x.shape, w.shape))
+    d, k = w.shape
+    if b is not None and b.shape != (k,):
+        raise DimensionError("linear bias %s does not match width %d"
+                             % (b.shape, k))
+    x2 = x.data.reshape(-1, d)
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, k)
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor._from_op(out.reshape(x.shape[:-1] + (k,)), parents, backward)
+
+
+def attention(q, k, v, trace: Optional[list] = None) -> Tensor:
+    """Scaled dot-product attention ``softmax(q kᵀ / √d_k) v`` as one node.
+
+    ``q`` is (..., T, d_k), ``k`` (..., S, d_k) and ``v`` (..., S, d_v) with
+    the same leading axes. Only the attention weights are kept for the
+    backward pass; a copy of them is appended to ``trace`` when given.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (q.ndim < 2 or q.ndim != k.ndim or k.ndim != v.ndim
+            or q.shape[-1] != k.shape[-1] or k.shape[:-1] != v.shape[:-1]
+            or q.shape[:-2] != k.shape[:-2]):
+        raise DimensionError("attention shapes disagree: q %s, k %s, v %s"
+                             % (q.shape, k.shape, v.shape))
+    scale = _DTYPE(1.0 / math.sqrt(q.shape[-1]))
+    w = np.matmul(q.data * scale, k.data.swapaxes(-1, -2))
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    if trace is not None:
+        trace.append(w.copy())
+    out = np.matmul(w, v.data)
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(np.matmul(w.swapaxes(-1, -2), g))
+        if q.requires_grad or k.requires_grad:
+            # dS = W * (g vᵀ - rowdot(g, out)): the softmax Jacobian's row
+            # term is sum_j W_ij (g vᵀ)_ij = g_i . out_i.
+            ds = np.matmul(g, v.data.swapaxes(-1, -2))
+            ds -= np.einsum("...i,...i->...", g, out)[..., None]
+            ds *= w
+            if q.requires_grad:
+                q._accumulate(np.matmul(ds, k.data) * scale)
+            if k.requires_grad:
+                k._accumulate(np.matmul(ds.swapaxes(-1, -2), q.data) * scale)
+
+    return Tensor._from_op(out, (q, k, v), backward)
+
+
 def transpose(a) -> Tensor:
     """Swap the trailing two axes."""
     a = _as_tensor(a)
@@ -333,22 +404,27 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError("layer_norm affine width %s does not match %s"
                              % (gain.shape, x.shape))
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
-    xhat = (x.data - mu) * inv
-    out = gain.data * xhat + bias.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
         if x.requires_grad:
             gh = g * gain.data
             m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (gh - m1 - xhat * m2))
+            m2 = np.einsum("...i,...i->...", gh, xhat)[..., None] / d
+            gh -= m1
+            gh -= xhat * m2
+            gh *= inv
+            x._accumulate(gh)
+        g2 = g.reshape(-1, d)
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+            gain._accumulate(np.einsum("ij,ij->j", g2, xhat.reshape(-1, d)))
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
+            bias._accumulate(g2.sum(axis=0))
 
     return Tensor._from_op(out, (x, gain, bias), backward)
 
@@ -364,7 +440,7 @@ def dropout(x, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
     # storage (e.g. in a checkpoint) yields bit-identical masks.
     rate32 = np.float32(rate)
     mask = (rng.random(x.shape, dtype=np.float32) >= rate32)
-    mask = mask.astype(np.float32) / (np.float32(1.0) - rate32)
+    mask = mask.astype(_DTYPE) / (_DTYPE(1.0) - rate32)
     out = x.data * mask
 
     def backward(g):
@@ -397,7 +473,7 @@ def cross_entropy(logits, labels) -> Tensor:
         if logits.requires_grad:
             p = np.exp(logp)
             p[np.arange(n), labels] -= 1.0
-            logits._accumulate(p * (np.float32(g) / np.float32(n)))
+            logits._accumulate(p * (_DTYPE(g) / _DTYPE(n)))
 
     return Tensor._from_op(loss, (logits,), backward)
 
@@ -423,7 +499,7 @@ def tsum(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.full_like(a.data, np.float32(g)))
+            a._accumulate(np.full_like(a.data, _DTYPE(g)))
 
     return Tensor._from_op(out, (a,), backward)
 
@@ -435,6 +511,6 @@ def tmean(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.full_like(a.data, np.float32(g) / np.float32(n)))
+            a._accumulate(np.full_like(a.data, _DTYPE(g) / _DTYPE(n)))
 
     return Tensor._from_op(out, (a,), backward)

@@ -198,7 +198,8 @@ def write_raw_records(path, records):
     its header can claim what ``write_records`` never writes."""
     parts = [b"SAEP", struct.pack("<II", 1, len(records))]
     for name, shape, data in records:
-        name = name.encode("utf-8")
+        if isinstance(name, str):
+            name = name.encode("utf-8")
         parts += [struct.pack("<I", len(name)), name,
                   struct.pack("<I%dQ" % len(shape), len(shape), *shape), data]
     path.write_bytes(b"".join(parts))
@@ -267,7 +268,11 @@ class TestErrors:
     @pytest.mark.parametrize("records,fragment", [
         ([("a", (2 ** 20, 2 ** 20), b"")], "claims"),
         ([("a", (2,), bytes(8)), ("a", (2,), bytes(8))], "duplicate"),
-    ], ids=["oversized_extents", "duplicate_name"])
+        ([("a", (2,), bytes(8)), (b"\xff", (2,), bytes(8))],
+         "embeddings.bin: record 1 has a name that is not UTF-8"),
+        ([("a", (0, 2 ** 63), b"")], "embeddings.bin: record 'a' has extents"),
+    ], ids=["oversized_extents", "duplicate_name", "non_utf8_name",
+            "extent_beyond_int64"])
     def test_malformed_embedding_archive(self, tmp_path, mini_corpus, capsys,
                                          records, fragment):
         archive = tmp_path / "embeddings.bin"

@@ -136,6 +136,33 @@ class TestAgainstReference:
         assert compute_eer(trials) == reference_eer(trials)
 
 
+# Strictly increasing maps that keep distinct quarter-step scores distinct
+# in floating point.
+increasing_maps = st.sampled_from([math.exp, math.atan, lambda s: s ** 3,
+                                   lambda s: 3.0 * s - 1.0])
+
+
+class TestProperties:
+    @given(targets=tied_scores, nontargets=tied_scores, f=increasing_maps)
+    def test_invariant_under_increasing_score_map(self, targets, nontargets,
+                                                  f):
+        trials = scored(targets, nontargets)
+        mapped = scored([f(s) for s in targets], [f(s) for s in nontargets])
+        rates = [(far, frr) for _, far, frr in det_points(trials)]
+        assert [(far, frr) for _, far, frr in det_points(mapped)] == rates
+        assert compute_eer(mapped)[0] == compute_eer(trials)[0]
+
+    @given(targets=tied_scores, nontargets=tied_scores)
+    def test_det_rates_are_monotone(self, targets, nontargets):
+        pts = det_points(scored(targets, nontargets))
+        fars = [far for _, far, _ in pts]
+        frrs = [frr for _, _, frr in pts]
+        assert all(b <= a for a, b in zip(fars, fars[1:]))
+        assert all(b >= a for a, b in zip(frrs, frrs[1:]))
+        assert (fars[0], frrs[0]) == (1.0, 0.0)
+        assert (fars[-1], frrs[-1]) == (0.0, 1.0)
+
+
 class TestComputeEer:
     def test_perfectly_separated(self):
         eer, thr = compute_eer(scored([0.8, 0.9], [0.1, 0.2]))

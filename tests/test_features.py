@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from saep.audio import AudioClip, AudioFormatError, ChannelCountError, \
     load_audio, write_wav
@@ -170,6 +171,20 @@ class TestChunk:
         np.testing.assert_array_equal(out[:100], fs.frames)
         np.testing.assert_array_equal(out[100:200], fs.frames)
         np.testing.assert_array_equal(out[200:300], fs.frames)
+
+    @given(t=st.integers(1, 120), length=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_is_a_wrapped_run_of_frames(self, t, length, seed):
+        """Row i of a chunk is frame (start + i) mod t: a contiguous window
+        when the utterance is long enough, repetition from frame 0 when not."""
+        frames = np.repeat(np.arange(t, dtype=np.float32)[:, None], 90, axis=1)
+        out = chunk(FeatureSequence(frames, "u"), length,
+                    np.random.default_rng(seed))
+        assert out.shape == (length, 90)
+        start = int(out[0, 0])
+        assert start == 0 if t < length else 0 <= start <= t - length
+        np.testing.assert_array_equal(
+            out, frames[(start + np.arange(length)) % t])
 
     @pytest.mark.parametrize("t", [1, 5, 299, 300, 301, 1000])
     def test_shape_contract(self, t):

@@ -178,6 +178,21 @@ def test_primitive_gradients(seed):
     checks.append(("cross_entropy", [x],
                    lambda: tz.cross_entropy(x, labels_v)))
 
+    lin_w, lin_b = randt(rng, d, 3), randt(rng, 3)
+    x3 = randt(rng, 2, rows, d)
+    w3 = Tensor(rng.standard_normal((2, rows, 3)).astype(np.float32))
+    checks += [
+        ("linear", [x, lin_w],
+         lambda: tz.tsum(tz.mul(tz.linear(x, lin_w), Tensor(w3.data[0])))),
+        ("linear_bias_batched", [x3, lin_w, lin_b],
+         lambda: tz.tsum(tz.mul(tz.linear(x3, lin_w, lin_b), w3))),
+    ]
+    # Batched attention over 3 queries and 5 keys of width d, so T != d_k.
+    q, k, v = randt(rng, 2, 3, d), randt(rng, 2, 5, d), randt(rng, 2, 5, 4)
+    w_att = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32))
+    checks.append(("attention", [q, k, v],
+                   lambda: tz.tsum(tz.mul(tz.attention(q, k, v), w_att))))
+
     for name, tensors, fn in checks:
         rep = gradient_check(fn, tensors, tol=1e-2)
         assert rep.passed, "%s: %s" % (name, rep)
@@ -197,3 +212,71 @@ def test_backward_requires_scalar():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(DimensionError):
         tz.add(x, x).backward()
+
+
+def composed_attention(q, k, v):
+    """Attention as separate graph nodes: the reference for the fused op."""
+    scores = tz.mul(tz.matmul(q, tz.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
+    return tz.matmul(tz.softmax_rows(scores), v)
+
+
+class TestFusedAttention:
+    def test_matches_composition(self):
+        rng = np.random.default_rng(6)
+        ins = [randt(rng, 3, 7, 4), randt(rng, 3, 9, 4), randt(rng, 3, 9, 5)]
+        g = rng.standard_normal((3, 7, 5)).astype(np.float32)
+        results = []
+        for op in (tz.attention, composed_attention):
+            for t in ins:
+                t.zero_grad()
+            out = op(*ins)
+            tz.tsum(tz.mul(out, Tensor(g))).backward()
+            results.append([out.data] + [t.grad for t in ins])
+        # float32 results in another summation order
+        for fused, composed in zip(*results):
+            np.testing.assert_allclose(fused, composed, rtol=1e-5, atol=1e-6)
+
+    def test_no_grad_records_no_closure(self):
+        rng = np.random.default_rng(8)
+        q, k, v = randt(rng, 2, 5, 3), randt(rng, 2, 5, 3), randt(rng, 2, 5, 3)
+        with tz.no_grad():
+            out = tz.attention(q, k, v)
+        assert out._backward is None
+        assert out._parents == ()
+        assert not out.requires_grad
+
+    def test_shape_mismatch_names_all_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(4, 3\).*\(5, 2\)"):
+            tz.attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 2))),
+                         Tensor(np.zeros((5, 2))))
+
+
+def test_every_op_keeps_float64():
+    """Under compute_dtype(float64), every op's output and every gradient
+    stay float64, so the float64 reference paths are really float64."""
+    rng = np.random.default_rng(9)
+    with tz.compute_dtype(np.float64):
+        def leaf(*shape):
+            return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+        x, w, b = leaf(2, 3, 4), leaf(4, 4), leaf(4)
+        outs = [
+            tz.add(x, b), tz.sub(x, b), tz.mul(x, 0.5), tz.matmul(x, w),
+            tz.linear(x, w, b), tz.attention(x, x, x), tz.transpose(x),
+            tz.reshape(x, (6, 4)), tz.relu(x), tz.softmax_rows(x),
+            tz.layer_norm(x, b, b),
+            tz.dropout(x, 0.5, np.random.default_rng(0), train=True),
+            tz.l2_normalize(x), tz.tsum(x), tz.tmean(x),
+            tz.cross_entropy(tz.reshape(x, (6, 4)), [0, 1, 2, 3, 0, 1]),
+        ]
+        loss = tz.tsum(outs[0])
+        for out in outs:
+            assert out.data.dtype == np.float64
+            loss = tz.add(loss, tz.tsum(out))
+        loss.backward()
+        for t in (x, w, b):
+            assert t.grad.dtype == np.float64
+        # Constants are float64 too: 1/3 is not rounded to float32.
+        m = leaf(3)
+        tz.tmean(m).backward()
+        np.testing.assert_array_equal(m.grad, np.full(3, 1.0 / 3.0))
