@@ -4,7 +4,8 @@ File layout: magic ``SAEP``, format version u32, record count u32, then
 per record: name length u32, UTF-8 name, rank u32, one u64 per extent,
 and the raw float32 data row-major. Scalar configuration and optimizer
 values are 1-element records under the reserved ``cfg.`` and ``opt.``
-name prefixes; Adam moment buffers live under ``opt.m.`` / ``opt.v.``.
+name prefixes, except the integer step and seed, which are split into
+16-bit words; Adam moment buffers live under ``opt.m.`` / ``opt.v.``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,18 @@ _OPT_SCALARS = ("lr", "beta1", "beta2", "eps")
 
 class CheckpointFormatError(ValueError):
     """The file is not a well-formed record file of the expected version."""
+
+
+# Integers are stored as four 16-bit words, low word first, which float32
+# records hold exactly for any u64.
+def _to_words(value: int) -> np.ndarray:
+    return np.asarray([(value >> (16 * w)) & 0xFFFF for w in range(4)],
+                      dtype=np.float32)
+
+
+def _from_words(words: np.ndarray) -> int:
+    # A one-element record (the older single-float step) decodes as itself.
+    return sum(int(word) << (16 * w) for w, word in enumerate(words))
 
 
 def write_records(path, records: Dict[str, np.ndarray]) -> None:
@@ -133,10 +146,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         records["cfg." + name] = np.asarray([value], dtype=np.float32)
     for name in sorted(ckpt.params):
         records[name] = ckpt.params[name]
-    records["opt.step"] = np.asarray([ckpt.step], dtype=np.float32)
-    # Four 16-bit words keep a full u64 seed exact in float32 records.
-    seed_words = [(ckpt.seed >> (16 * w)) & 0xFFFF for w in range(4)]
-    records["opt.seed"] = np.asarray(seed_words, dtype=np.float32)
+    records["opt.step"] = _to_words(ckpt.step)
+    records["opt.seed"] = _to_words(ckpt.seed)
     for scalar in _OPT_SCALARS:
         records["opt." + scalar] = np.asarray([getattr(ckpt.opt, scalar)],
                                               dtype=np.float32)
@@ -166,7 +177,7 @@ def load_checkpoint(path) -> Checkpoint:
     config = ModelConfig(**kwargs).validate()
     params = {name: arr for name, arr in records.items()
               if not name.startswith(("cfg.", "opt."))}
-    step = int(records["opt.step"][0])
+    step = _from_words(records["opt.step"])
     opt = AdamState(step=step, **{name: float(records["opt." + name][0])
                                   for name in _OPT_SCALARS})
     for name in params:
@@ -175,10 +186,8 @@ def load_checkpoint(path) -> Checkpoint:
             opt.m[name] = records[m_key]
         if v_key in records:
             opt.v[name] = records[v_key]
-    seed_words = records["opt.seed"]
-    seed = sum(int(seed_words[w]) << (16 * w) for w in range(len(seed_words)))
     return Checkpoint(config=config, params=params, opt=opt, step=step,
-                      seed=seed)
+                      seed=_from_words(records["opt.seed"]))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> SaepModel:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -47,6 +48,11 @@ def load_manifest(path) -> Manifest:
                     "%s:%d: expected '<utt_id> <speaker> <wav_path>', got %r"
                     % (path, lineno, line))
             utt_id, speaker, wav_path = parts
+            # The id names a file inside the feature cache directory.
+            if any(s in utt_id for s in ("/", os.sep, os.altsep or "/")):
+                raise ManifestError(
+                    "%s:%d: utterance id %r contains a path separator"
+                    % (path, lineno, utt_id))
             if utt_id in seen:
                 raise ManifestError("%s:%d: duplicate utterance id %r"
                                     % (path, lineno, utt_id))

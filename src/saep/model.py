@@ -133,7 +133,7 @@ def _am_logits(features: Tensor, weight: Tensor, scale: float,
     """
     feats_n = tz.l2_normalize(features, axis=-1)
     weight_n = tz.l2_normalize(weight, axis=0)
-    cos = tz.matmul(feats_n, weight_n)
+    cos = tz.linear(feats_n, weight_n)
     if labels is not None:
         n, c = cos.shape
         onehot = np.zeros((n, c), dtype=np.float32)
@@ -206,17 +206,14 @@ class SaepModel:
 
     def attention_pool(self, h: Tensor,
                        trace: Optional[list] = None) -> Tensor:
-        """Convex combination of encoder frames with learned weights;
-        (T x d) -> (d,) or (B x T x d) -> (B x d)."""
-        squeeze = h.ndim == 2
-        if squeeze:
-            h = tz.reshape(h, (1,) + h.shape)
-        scores = tz.transpose(tz.linear(h, self.params["pool.w_c"]))  # B x 1 x T
-        weights = tz.softmax_rows(scores)
-        if trace is not None:
-            trace.append(weights.data.copy())
-        pooled = tz.reshape(tz.matmul(weights, h), (h.shape[0], h.shape[-1]))
-        return tz.reshape(pooled, (h.shape[-1],)) if squeeze else pooled
+        """Self-attention pooling: the learned context vector ``pool.w_c``
+        is one unscaled query over the frames as keys and values, so the
+        output is a convex combination of frames; (T x d) -> (d,) or
+        (B x T x d) -> (B x d)."""
+        w_c = self.params["pool.w_c"]
+        query = tz.reshape(w_c, (1, w_c.shape[0]))
+        pooled = tz.attention(query, h, h, trace=trace, scale=1.0)
+        return tz.reshape(pooled, h.shape[:-2] + h.shape[-1:])
 
     def _dense(self, x: Tensor, layer: str) -> Tensor:
         p = self.params
@@ -257,22 +254,15 @@ class SaepModel:
                      ) -> Tuple[Tensor, Tensor]:
         """Classifier head plus output layer; returns (logits, embedding)
         for a single pooled vector (d,) or a batch (B x d)."""
-        squeeze = c.ndim == 1
-        if squeeze:
-            c = tz.reshape(c, (1, c.shape[0]))
         embedding, last = self.head(c, train=train, rng=rng)
-        logits = self.output_logits(last)
-        if squeeze:
-            logits = tz.reshape(logits, (logits.shape[-1],))
-            embedding = tz.reshape(embedding, (embedding.shape[-1],))
-        return logits, embedding
+        return self.output_logits(last), embedding
 
     # -- end to end --------------------------------------------------------
 
     def forward_loss(self, batch: np.ndarray, labels,
                      train: bool = True,
                      rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Loss over a batch of feature chunks (B x T x 90)."""
+        """Loss over a batch of feature chunks (B x T x FEATURE_DIM)."""
         x = Tensor(batch)
         if x.ndim != 3 or x.shape[-1] != self.config.d_m:
             raise tz.DimensionError("expected B x T x %d batch, got %s"
@@ -296,9 +286,8 @@ class SaepModel:
             raise ValueError("cannot embed an empty feature sequence")
         with tz.no_grad():
             h = self.encode(Tensor(feats.frames), train=False)
-            pooled = self.attention_pool(h)
-            embedding = self.embed(tz.reshape(pooled, (1, pooled.shape[0])))
-        return SpeakerEmbedding(vector=embedding.data[0].copy(),
+            embedding = self.embed(self.attention_pool(h))
+        return SpeakerEmbedding(vector=embedding.data.copy(),
                                 utterance_id=feats.utterance_id)
 
     # -- accounting --------------------------------------------------------

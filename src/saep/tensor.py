@@ -7,7 +7,10 @@ built fresh on every forward pass and garbage-collected with their tensors.
 
 Operations act on the trailing one or two axes and broadcast over any
 leading batch axes, so the same primitives serve both single sequences
-(T x d) and batches (B x T x d).
+(T x d) and batches (B x T x d). The model projects with ``linear`` and
+attends with ``attention``; ``matmul``, ``transpose`` and
+``softmax_rows`` remain as the pieces tests compose reference attention
+from.
 """
 
 from __future__ import annotations
@@ -164,37 +167,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar; full signatures live in the module-level functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape,
@@ -306,20 +280,24 @@ def linear(x, w, b=None) -> Tensor:
     return Tensor._from_op(out.reshape(x.shape[:-1] + (k,)), parents, backward)
 
 
-def attention(q, k, v, trace: Optional[list] = None) -> Tensor:
-    """Scaled dot-product attention ``softmax(q kᵀ / √d_k) v`` as one node.
+def attention(q, k, v, trace: Optional[list] = None,
+              scale: Optional[float] = None) -> Tensor:
+    """Dot-product attention ``softmax(q kᵀ · scale) v`` as one node.
 
-    ``q`` is (..., T, d_k), ``k`` (..., S, d_k) and ``v`` (..., S, d_v) with
-    the same leading axes. Only the attention weights are kept for the
-    backward pass; a copy of them is appended to ``trace`` when given.
+    ``k`` is (..., S, d_k) and ``v`` (..., S, d_v) with the same leading
+    axes. ``q`` is (..., T, d_k) with those leading axes too, or a 2-D
+    (T, d_k) query shared by every leading index, whose gradient is then
+    summed over them. ``scale`` defaults to 1/√d_k. Only the attention
+    weights are kept for the backward pass; a copy of them is appended to
+    ``trace`` when given.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (q.ndim < 2 or q.ndim != k.ndim or k.ndim != v.ndim
+    if (q.ndim < 2 or k.ndim < 2 or k.ndim != v.ndim
             or q.shape[-1] != k.shape[-1] or k.shape[:-1] != v.shape[:-1]
-            or q.shape[:-2] != k.shape[:-2]):
+            or q.shape[:-2] not in ((), k.shape[:-2])):
         raise DimensionError("attention shapes disagree: q %s, k %s, v %s"
                              % (q.shape, k.shape, v.shape))
-    scale = _DTYPE(1.0 / math.sqrt(q.shape[-1]))
+    scale = _DTYPE(1.0 / math.sqrt(q.shape[-1]) if scale is None else scale)
     w = np.matmul(q.data * scale, k.data.swapaxes(-1, -2))
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
@@ -338,7 +316,8 @@ def attention(q, k, v, trace: Optional[list] = None) -> Tensor:
             ds -= np.einsum("...i,...i->...", g, out)[..., None]
             ds *= w
             if q.requires_grad:
-                q._accumulate(np.matmul(ds, k.data) * scale)
+                q._accumulate(_unbroadcast(np.matmul(ds, k.data) * scale,
+                                           q.shape))
             if k.requires_grad:
                 k._accumulate(np.matmul(ds.swapaxes(-1, -2), q.data) * scale)
 

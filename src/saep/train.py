@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .checkpoint import Checkpoint, save_checkpoint
-from .features import FeatureSequence, chunk
+from .features import FEATURE_DIM, FeatureSequence, chunk
 from .manifest import Manifest
 from .model import SaepModel
 from .optim import AdamState, adam_step
@@ -57,7 +57,7 @@ def make_batch(manifest: Manifest, features: Dict[str, FeatureSequence],
     if len(manifest) == 0:
         raise ValueError("manifest is empty")
     picks = rng.integers(0, len(manifest), size=batch_size)
-    batch = np.empty((batch_size, CHUNK_FRAMES, 90), dtype=np.float32)
+    batch = np.empty((batch_size, CHUNK_FRAMES, FEATURE_DIM), dtype=np.float32)
     labels = np.empty(batch_size, dtype=np.int64)
     for row, utt_index in enumerate(picks):
         utt_id = manifest.entries[utt_index][0]

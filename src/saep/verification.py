@@ -38,30 +38,40 @@ class ScoredTrial:
     test_id: str
 
 
-def cosine_score(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
+def _cosine(a: SpeakerEmbedding, b: SpeakerEmbedding,
+            norms: Dict[int, float]) -> float:
+    """Float64 cosine of two embeddings of one width. ``norms`` holds the
+    L2 norm of each embedding seen so far, by ``id``, so it must not
+    outlive them."""
     va = np.asarray(a.vector, dtype=np.float64)
     vb = np.asarray(b.vector, dtype=np.float64)
     if va.shape != vb.shape:
         raise ValueError("embedding widths differ: %s vs %s"
                          % (va.shape, vb.shape))
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0:
-        raise ZeroNormError("embedding %r has zero norm" % a.utterance_id)
-    if nb == 0.0:
-        raise ZeroNormError("embedding %r has zero norm" % b.utterance_id)
-    return float(np.dot(va, vb) / (na * nb))
+    for emb, vector in ((a, va), (b, vb)):
+        if id(emb) not in norms:
+            norms[id(emb)] = np.linalg.norm(vector)
+            if norms[id(emb)] == 0.0:
+                raise ZeroNormError("embedding %r has zero norm"
+                                    % emb.utterance_id)
+    return float(np.dot(va, vb) / (norms[id(a)] * norms[id(b)]))
+
+
+def cosine_score(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
+    return _cosine(a, b, {})
 
 
 def score_trials(trials: List[Trial],
                  embeddings: Dict[str, SpeakerEmbedding]) -> List[ScoredTrial]:
+    norms: Dict[int, float] = {}  # each taken once, when first needed
     scored = []
     for trial in trials:
         for utt_id in (trial.enroll_id, trial.test_id):
             if utt_id not in embeddings:
                 raise TrialListError("no embedding for utterance %r" % utt_id)
         scored.append(ScoredTrial(
-            score=cosine_score(embeddings[trial.enroll_id],
-                               embeddings[trial.test_id]),
+            score=_cosine(embeddings[trial.enroll_id],
+                          embeddings[trial.test_id], norms),
             label=trial.label,
             enroll_id=trial.enroll_id,
             test_id=trial.test_id))

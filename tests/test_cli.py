@@ -256,6 +256,27 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "resumed.ckpt").exists()
 
+    def test_utterance_id_with_path_separator(self, tmp_path, mini_corpus,
+                                              capsys):
+        entries = list(mini_corpus.manifest.entries)
+        utt_id, speaker, wav = entries[0]
+        entries[0] = ("../" + utt_id, speaker, wav)
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "run.cfg").write_text(TRAIN_CONFIG)
+        (work / "manifest.txt").write_text(
+            "".join("%s %s %s\n" % e for e in entries))
+        rc = main(["train", "--config", str(work / "run.cfg"),
+                   "--manifest", str(work / "manifest.txt"),
+                   "--feature-cache", str(work / "cache"),
+                   "--out", str(work / "model.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and ":1: " in err and "path separator" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) \
+            == ["manifest.txt", "run.cfg", "work"]
+
     @pytest.mark.parametrize("score", ["abc", "nan", "-inf"])
     def test_score_file_with_bad_score(self, tmp_path, capsys, score):
         path = tmp_path / "scores.txt"

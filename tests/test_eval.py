@@ -62,6 +62,29 @@ class TestScoreTrials:
         assert out[1].score == pytest.approx(1.0)
         assert (out[0].label, out[1].label) == (1, 0)
 
+    def test_scores_equal_pairwise_cosine_bit_for_bit(self):
+        # Each norm is taken once per embedding, not once per trial; the
+        # embeddings share one utterance_id, so only the trial ids tell them
+        # apart.
+        rng = np.random.default_rng(3)
+        embeddings = {name: emb(rng.standard_normal(16) * scale)
+                      for name, scale in (("a", 1.0), ("b", 5.0), ("c", 0.1))}
+        trials = [Trial(int(rng.integers(2)), e, t)
+                  for e in "abc" for t in "abc"]
+        out = score_trials(trials, embeddings)
+        assert [s.score for s in out] == [
+            cosine_score(embeddings[t.enroll_id], embeddings[t.test_id])
+            for t in trials]
+
+    def test_unused_zero_norm_embedding_is_ignored(self):
+        embeddings = {"a": emb([1.0, 0.0], "a"), "b": emb([1.0, 1.0], "b"),
+                      "zero": emb([0.0, 0.0], "zero")}
+        out = score_trials([Trial(1, "a", "b")], embeddings)
+        assert out[0].score == pytest.approx(1.0 / math.sqrt(2.0))
+        with pytest.raises(ZeroNormError, match="zero"):
+            score_trials([Trial(1, "a", "b"), Trial(0, "b", "zero")],
+                         embeddings)
+
     def test_missing_id(self):
         with pytest.raises(TrialListError, match="ghost"):
             score_trials([Trial(1, "a", "ghost")],

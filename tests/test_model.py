@@ -186,6 +186,34 @@ class TestAttentionPool:
         assert np.all(out >= h.min(axis=0) - 1e-6)
         assert np.all(out <= h.max(axis=0) + 1e-6)
 
+    @pytest.mark.parametrize("shape", [(9, 6), (3, 9, 6)])
+    def test_matches_composition(self, tiny_model, shape):
+        """The pooling equals scores = h w_c, a softmax over frames and the
+        weighted sum of frames, built from separate graph nodes, in value
+        and in the gradients of h and w_c."""
+        rng = np.random.default_rng(19)
+        h = Tensor(rng.standard_normal(shape).astype(np.float32),
+                   requires_grad=True)
+        g = Tensor(rng.standard_normal(shape[:-2] + (6,)).astype(np.float32))
+        w_c = tiny_model.params["pool.w_c"]
+
+        def composed(h):
+            hb = tz.reshape(h, (-1,) + shape[-2:])
+            scores = tz.transpose(tz.linear(hb, w_c))  # B x 1 x T
+            pooled = tz.matmul(tz.softmax_rows(scores), hb)
+            return tz.reshape(pooled, shape[:-2] + (6,))
+
+        results = []
+        for pool in (tiny_model.attention_pool, composed):
+            h.zero_grad()
+            w_c.zero_grad()
+            out = pool(h)
+            tz.tsum(tz.mul(out, g)).backward()
+            results.append((out.data, h.grad, w_c.grad))
+        for fused, reference in zip(*results):
+            assert fused.shape == reference.shape
+            np.testing.assert_allclose(fused, reference, rtol=1e-5, atol=1e-6)
+
 
 class TestHead:
     def test_eval_is_deterministic(self, tiny_model):

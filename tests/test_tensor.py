@@ -192,6 +192,13 @@ def test_primitive_gradients(seed):
     w_att = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32))
     checks.append(("attention", [q, k, v],
                    lambda: tz.tsum(tz.mul(tz.attention(q, k, v), w_att))))
+    # The pooling's form: a 2-D query shared by every batch entry, the same
+    # tensor as keys and values, and no scaling.
+    q2, kv = randt(rng, 2, d), randt(rng, 2, 5, d)
+    w_pool = Tensor(rng.standard_normal((2, 2, d)).astype(np.float32))
+    checks.append(("attention_shared_query", [q2, kv],
+                   lambda: tz.tsum(tz.mul(tz.attention(q2, kv, kv, scale=1.0),
+                                          w_pool))))
 
     for name, tensors, fn in checks:
         rep = gradient_check(fn, tensors, tol=1e-2)
@@ -249,6 +256,16 @@ class TestFusedAttention:
         with pytest.raises(DimensionError, match=r"\(4, 3\).*\(5, 2\)"):
             tz.attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 2))),
                          Tensor(np.zeros((5, 2))))
+
+    @pytest.mark.parametrize("q_shape, k_shape", [
+        ((2, 4, 3), (3, 5, 3)),     # other batch extent
+        ((3, 4, 3), (5, 3)),        # batched query, unbatched keys
+        ((1, 3, 4, 3), (3, 5, 3)),  # broadcastable, but not the same axes
+    ])
+    def test_query_leading_axes_must_match_keys(self, q_shape, k_shape):
+        with pytest.raises(DimensionError, match="attention shapes disagree"):
+            tz.attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)),
+                         Tensor(np.zeros(k_shape)))
 
 
 def test_every_op_keeps_float64():

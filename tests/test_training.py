@@ -63,6 +63,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("utt_id", ["../escape", "a/b", "/abs"])
+    def test_path_separator_in_id_rejected(self, tmp_path, utt_id):
+        # Utterance ids name feature-cache files inside the cache directory.
+        path = tmp_path / "sep.txt"
+        path.write_text("u1 spk1 a.wav\n%s spk1 b.wav\n" % utt_id)
+        with pytest.raises(ManifestError, match=":2: .*path separator"):
+            load_manifest(path)
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# header\n\nu1 spk1 a.wav\n")
@@ -235,6 +243,22 @@ class TestCheckpointRoundtrip:
                         TrainConfig(steps=1, batch_size=2, seed=seed),
                         checkpoint_path=tmp_path / "s.bin")
         assert load_checkpoint(tmp_path / "s.bin").seed == seed
+
+    def test_step_beyond_float32_precision_survives(self, tmp_path):
+        _, _, _, ckpt = self.trained(tmp_path)
+        ckpt.step = ckpt.opt.step = (1 << 24) + 1  # float32 rounds it to 2**24
+        save_checkpoint(ckpt, tmp_path / "late.bin")
+        loaded = load_checkpoint(tmp_path / "late.bin")
+        assert loaded.step == loaded.opt.step == (1 << 24) + 1
+
+    def test_single_float_step_record_still_loads(self, tmp_path):
+        """Older checkpoints stored the step as one float32 value."""
+        self.trained(tmp_path)
+        records = read_records(tmp_path / "ck.bin")
+        records["opt.step"] = np.asarray([100000.0], dtype=np.float32)
+        write_records(tmp_path / "old.bin", records)
+        loaded = load_checkpoint(tmp_path / "old.bin")
+        assert loaded.step == loaded.opt.step == 100000
 
     def test_model_from_checkpoint_shape_mismatch(self, tmp_path):
         _, _, _, ckpt = self.trained(tmp_path)
