@@ -1,7 +1,7 @@
 """Feature extraction over a manifest, with an optional on-disk cache.
 
-Cached features use the checkpoint record format with a single record
-named ``feats``, one file per utterance.
+Cached features are record files (see ``saep.records``) with a single
+record named ``feats``, one file per utterance.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ import os
 from typing import Dict, Optional
 
 from .audio import load_audio
-from .checkpoint import read_records, write_records
-from .features import FeatureSequence, compute_features
+from .features import FEATURE_DIM, FeatureSequence, compute_features
 from .manifest import Manifest
+from .records import CheckpointFormatError, read_records, write_records
 
 __all__ = ["features_for_manifest", "save_feature_cache",
            "load_feature_cache"]
@@ -23,8 +23,14 @@ def save_feature_cache(feats: FeatureSequence, path) -> None:
 
 
 def load_feature_cache(path, utterance_id: str) -> FeatureSequence:
-    records = read_records(path)
-    return FeatureSequence(frames=records["feats"], utterance_id=utterance_id)
+    frames = read_records(path).get("feats")
+    if frames is None or frames.ndim != 2 or len(frames) < 1 \
+            or frames.shape[1] != FEATURE_DIM:
+        raise CheckpointFormatError(
+            "%s: expected a T x %d 'feats' record with T >= 1, got %s"
+            % (path, FEATURE_DIM, "none" if frames is None
+               else "shape %s" % (frames.shape,)))
+    return FeatureSequence(frames=frames, utterance_id=utterance_id)
 
 
 def features_for_manifest(manifest: Manifest,

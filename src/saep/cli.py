@@ -96,7 +96,8 @@ def _load_run_config(path):
 
 def _cmd_train(args) -> int:
     from .cache import features_for_manifest
-    from .checkpoint import load_checkpoint, model_from_checkpoint
+    from .checkpoint import load_checkpoint, model_from_checkpoint, \
+        speaker_fingerprint
     from .config import build_configs
     from .manifest import load_manifest
     from .model import init_model
@@ -114,6 +115,11 @@ def _cmd_train(args) -> int:
                 "checkpoint %s has %d speakers but manifest %s has %d"
                 % (args.resume, ckpt.config.n_speakers, args.manifest,
                    manifest.n_speakers))
+        if ckpt.speakers not in (None,
+                                 speaker_fingerprint(manifest.label_map)):
+            raise ValueError(
+                "checkpoint %s was trained on other speaker names than "
+                "manifest %s has" % (args.resume, args.manifest))
         model = model_from_checkpoint(ckpt)
         opt, start_step = ckpt.opt, ckpt.step
         train_config.seed = ckpt.seed
@@ -121,19 +127,17 @@ def _cmd_train(args) -> int:
         model = init_model(model_config, seed=train_config.seed)
         opt, start_step = None, 0
     features = features_for_manifest(manifest, args.feature_cache)
-    log_rows = []
 
     def log(step, loss):
-        log_rows.append((step, loss))
         if step % 50 == 0 or step == 1:
             print("step %d loss %.4f" % (step, loss), flush=True)
 
-    _, _ = train(manifest, features, model, train_config, opt=opt,
-                 start_step=start_step, checkpoint_path=args.out, log=log)
+    _, trace = train(manifest, features, model, train_config, opt=opt,
+                     start_step=start_step, checkpoint_path=args.out, log=log)
     if args.loss_log is not None:
         with open(args.loss_log, "w", encoding="utf-8") as fh:
             fh.write("step,loss\n")
-            for step, loss in log_rows:
+            for step, loss in trace:
                 fh.write("%d,%.6f\n" % (step, loss))
     print("wrote checkpoint %s" % args.out)
     return 0
@@ -143,10 +147,10 @@ def _cmd_extract(args) -> int:
     import numpy as np
 
     from .cache import features_for_manifest
-    from .checkpoint import load_checkpoint, model_from_checkpoint, \
-        write_records
+    from .checkpoint import load_checkpoint, model_from_checkpoint
     from .features import FeatureSequence
     from .manifest import load_manifest
+    from .records import write_records
 
     manifest = load_manifest(args.manifest)
     model = model_from_checkpoint(load_checkpoint(args.checkpoint))
@@ -172,9 +176,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from .checkpoint import read_records
-    from .model import SpeakerEmbedding
-    from .verification import load_trials, save_scores, score_trials
+    from .records import read_records
+    from .verification import SpeakerEmbedding, load_trials, save_scores, \
+        score_trials
 
     trials = load_trials(args.trials)
     embeddings = {name: SpeakerEmbedding(vector=arr, utterance_id=name)

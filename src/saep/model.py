@@ -19,6 +19,7 @@ from . import tensor as tz
 from .features import FeatureSequence
 from .optim import ParameterSet
 from .tensor import Tensor
+from .verification import SpeakerEmbedding
 
 __all__ = ["ModelConfig", "SaepModel", "SpeakerEmbedding", "ConfigError",
            "am_softmax_loss", "init_model", "FC1_DIM",
@@ -69,12 +70,6 @@ class ModelConfig:
         if self.am_margin < 0:
             raise ConfigError("am_margin must be >= 0, got %r" % self.am_margin)
         return self
-
-
-@dataclass
-class SpeakerEmbedding:
-    vector: np.ndarray  # embed_dim float32
-    utterance_id: str
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,

@@ -1,0 +1,91 @@
+"""Versioned little-endian binary record files: named float32 arrays.
+
+File layout: magic ``SAEP``, format version u32, record count u32, then
+per record: name length u32, UTF-8 name, rank u32, one u64 per extent,
+and the raw float32 data row-major. Checkpoints, feature-cache files and
+embedding archives are all record files.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+import os
+import struct
+from typing import Dict, NoReturn
+
+import numpy as np
+
+__all__ = ["MAGIC", "VERSION", "CheckpointFormatError", "write_records",
+           "read_records"]
+
+MAGIC = b"SAEP"
+VERSION = 1
+
+
+class CheckpointFormatError(ValueError):
+    """The file is not a well-formed record file of the expected version."""
+
+
+def write_records(path, records: Dict[str, np.ndarray]) -> None:
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    buf.write(struct.pack("<II", VERSION, len(records)))
+    for name, arr in records.items():
+        arr = np.asarray(arr, dtype="<f4")
+        name_bytes = name.encode("utf-8")
+        buf.write(struct.pack("<I", len(name_bytes)))
+        buf.write(name_bytes)
+        buf.write(struct.pack("<I", arr.ndim))
+        for extent in arr.shape:
+            buf.write(struct.pack("<Q", extent))
+        buf.write(arr.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(buf.getvalue())
+
+
+def read_records(path) -> Dict[str, np.ndarray]:
+    """Every record of the file, by name. Each error names the file."""
+    records: Dict[str, np.ndarray] = {}
+
+    def fail(message: str) -> NoReturn:
+        raise CheckpointFormatError("%s: %s" % (path, message)) from None
+
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            # Checked first, so a size beyond the file is never allocated.
+            left = size - fh.tell()
+            if n > left:
+                fail("truncated file: %s claims %d bytes but only %d remain"
+                     % (what, n, left))
+            return fh.read(n)
+
+        magic = take(4, "magic")
+        if magic != MAGIC:
+            fail("bad magic %r (expected %r)" % (magic, MAGIC))
+        version, count = struct.unpack("<II", take(8, "header"))
+        if version != VERSION:
+            fail("unsupported format version %d" % version)
+        for index in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "name length"))
+            raw_name = take(name_len, "record name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                fail("record %d has a name that is not UTF-8: %r"
+                     % (index, raw_name))
+            if name in records:
+                fail("duplicate record %r" % name)
+            (rank,) = struct.unpack("<I", take(4, "rank of %r" % name))
+            shape = struct.unpack("<%dQ" % rank,
+                                  take(8 * rank, "extents of %r" % name))
+            raw = take(4 * math.prod(shape), "data of %r" % name)
+            try:
+                records[name] = np.frombuffer(raw, dtype="<f4").reshape(
+                    shape).copy()
+            except ValueError:  # e.g. extents (0, 2**63): no data, no array
+                fail("record %r has extents %s, too large for an array"
+                     % (name, shape))
+    return records

@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint, speaker_fingerprint
 from .features import FEATURE_DIM, FeatureSequence, chunk
 from .manifest import Manifest
 from .model import SaepModel
@@ -83,6 +83,7 @@ def train(manifest: Manifest, features: Dict[str, FeatureSequence],
         opt = AdamState(lr=config.lr, beta1=config.beta1,
                         beta2=config.beta2, eps=config.eps)
     trace: List[Tuple[int, float]] = []
+    speakers = speaker_fingerprint(manifest.label_map)
     for step in range(start_step + 1, config.steps + 1):
         rng = _step_rng(config.seed, step)
         batch, labels = make_batch(manifest, features, config.batch_size, rng)
@@ -101,23 +102,23 @@ def train(manifest: Manifest, features: Dict[str, FeatureSequence],
             log(step, loss_value)
         if (config.checkpoint_every and checkpoint_path is not None
                 and step % config.checkpoint_every == 0):
-            save_checkpoint(_snapshot(model, opt, step, config.seed),
-                            checkpoint_path)
-    ckpt = _snapshot(model, opt, config.steps, config.seed)
+            save_checkpoint(_snapshot(model, opt, step, config.seed,
+                                      speakers), checkpoint_path)
+    ckpt = _snapshot(model, opt, config.steps, config.seed, speakers)
     if checkpoint_path is not None:
         save_checkpoint(ckpt, checkpoint_path)
     return ckpt, trace
 
 
-def _snapshot(model: SaepModel, opt: AdamState, step: int,
-              seed: int) -> Checkpoint:
+def _snapshot(model: SaepModel, opt: AdamState, step: int, seed: int,
+              speakers: int) -> Checkpoint:
     params = {name: value.data.copy() for name, value in model.params.items()}
     opt_copy = AdamState(lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2,
                          eps=opt.eps, step=opt.step,
                          m={k: v.copy() for k, v in opt.m.items()},
                          v={k: v.copy() for k, v in opt.v.items()})
     return Checkpoint(config=model.config, params=params, opt=opt_copy,
-                      step=step, seed=seed)
+                      step=step, seed=seed, speakers=speakers)
 
 
 def chunk_accuracy(manifest: Manifest, features: Dict[str, FeatureSequence],

@@ -8,11 +8,10 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .model import SpeakerEmbedding
-
-__all__ = ["Trial", "ScoredTrial", "TrialListError", "ZeroNormError",
-           "cosine_score", "score_trials", "compute_eer", "det_points",
-           "load_trials", "save_trials", "load_scores", "save_scores"]
+__all__ = ["SpeakerEmbedding", "Trial", "ScoredTrial", "TrialListError",
+           "ZeroNormError", "cosine_score", "score_trials", "compute_eer",
+           "det_points", "load_trials", "save_trials", "load_scores",
+           "save_scores"]
 
 
 class TrialListError(ValueError):
@@ -21,6 +20,12 @@ class TrialListError(ValueError):
 
 class ZeroNormError(ValueError):
     """Cosine scoring is undefined for a zero-norm embedding."""
+
+
+@dataclass
+class SpeakerEmbedding:
+    vector: np.ndarray  # embed_dim float32
+    utterance_id: str
 
 
 @dataclass
@@ -40,14 +45,16 @@ class ScoredTrial:
 
 def _cosine(a: SpeakerEmbedding, b: SpeakerEmbedding,
             norms: Dict[int, float]) -> float:
-    """Float64 cosine of two embeddings of one width. ``norms`` holds the
+    """Float64 cosine of two vectors of one width. ``norms`` holds the
     L2 norm of each embedding seen so far, by ``id``, so it must not
     outlive them."""
     va = np.asarray(a.vector, dtype=np.float64)
     vb = np.asarray(b.vector, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ValueError("embedding widths differ: %s vs %s"
-                         % (va.shape, vb.shape))
+    if va.ndim != 1 or va.shape != vb.shape:
+        raise ValueError("embeddings %r and %r must be vectors of one width, "
+                         "got shapes %s and %s" % (a.utterance_id,
+                                                   b.utterance_id,
+                                                   va.shape, vb.shape))
     for emb, vector in ((a, va), (b, vb)):
         if id(emb) not in norms:
             norms[id(emb)] = np.linalg.norm(vector)

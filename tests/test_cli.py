@@ -1,12 +1,18 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from saep.checkpoint import load_checkpoint, read_records, write_records
+import saep
+from saep.checkpoint import load_checkpoint, read_records, write_records, \
+    speaker_fingerprint
 from saep.cli import main
 from saep.config import RunConfigError, build_configs, parse_run_config
 from saep.manifest import load_manifest
+from saep.records import CheckpointFormatError
 from saep.synth import FREQ_GRID, _draw_speakers, synth_corpus
 from saep.verification import load_trials
 
@@ -306,6 +312,98 @@ class TestErrors:
         assert "error:" in err and fragment in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("cfg.n_blocks", [1.7]),
+        ("cfg.d_k", []),
+        ("cfg.loss", [5.0]),
+        ("opt.step", [float("nan")]),
+        ("opt.step", [-3.0]),
+        ("opt.step", [1.0, 70000.0, 0.0, 0.0]),
+        ("opt.lr", [float("inf")]),
+    ], ids=["fractional_int", "no_value", "unknown_loss", "nan_step",
+            "negative_step", "word_beyond_16_bits", "infinite_float"])
+    def test_malformed_checkpoint_scalar(self, trained, tmp_path, mini_corpus,
+                                         capsys, key, value):
+        records = read_records(trained / "model.ckpt")
+        records[key] = np.asarray(value, dtype=np.float32)
+        bad = tmp_path / "bad.ckpt"
+        write_records(bad, records)
+        rc = main(["extract", "--checkpoint", str(bad),
+                   "--manifest", mini_corpus.manifest_path,
+                   "--out", str(tmp_path / "e.bin")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: %s: record %r" % (bad, key) in err
+        assert "Traceback" not in err
+
+    def test_resume_with_renamed_speakers(self, trained, tmp_path,
+                                          mini_corpus, capsys):
+        entries = list(mini_corpus.manifest.entries)
+        renamed = entries[0][1]
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(
+            "%s %s %s\n" % (u, "zzz" if s == renamed else s, w)
+            for u, s, w in entries))
+        rc = main(["train", "--config", str(trained / "run.cfg"),
+                   "--manifest", str(manifest), "--steps", "3",
+                   "--resume", str(trained / "model.ckpt"),
+                   "--out", str(tmp_path / "resumed.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and "other speaker names" in err
+        assert str(trained / "model.ckpt") in err and str(manifest) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "resumed.ckpt").exists()
+
+    def test_resume_without_speaker_fingerprint(self, trained, tmp_path,
+                                                mini_corpus):
+        assert load_checkpoint(trained / "model.ckpt").speakers \
+            == speaker_fingerprint(mini_corpus.manifest.label_map)
+        records = read_records(trained / "model.ckpt")
+        del records["opt.speakers"]
+        old = tmp_path / "old.ckpt"
+        write_records(old, records)
+        assert load_checkpoint(old).speakers is None
+        rc = main(["train", "--config", str(trained / "run.cfg"),
+                   "--manifest", mini_corpus.manifest_path, "--steps", "3",
+                   "--resume", str(old), "--out", str(tmp_path / "r.ckpt")])
+        assert rc == 0
+        assert load_checkpoint(tmp_path / "r.ckpt").step == 3
+
+    @pytest.mark.parametrize("records", [
+        {"frames": np.zeros((5, 90))},
+        {"feats": np.zeros((5, 91))},
+        {"feats": np.zeros((0, 90))},
+    ], ids=["no_feats_record", "wrong_width", "no_frames"])
+    def test_malformed_feature_cache_file(self, trained, tmp_path,
+                                          mini_corpus, capsys, records):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad = cache / (mini_corpus.manifest.entries[0][0] + ".feats")
+        write_records(bad, records)
+        rc = main(["extract", "--checkpoint", str(trained / "model.ckpt"),
+                   "--manifest", mini_corpus.manifest_path,
+                   "--feature-cache", str(cache),
+                   "--out", str(tmp_path / "e.bin")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: %s: expected a T x 90 'feats' record" % bad in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("shape", [(3, 3), ()], ids=["matrix", "rank_0"])
+    def test_score_non_vector_embeddings(self, tmp_path, capsys, shape):
+        archive = tmp_path / "embeddings.bin"
+        write_records(archive, {"a": np.ones(shape), "b": np.full(shape, 2.)})
+        trials = tmp_path / "trials.txt"
+        trials.write_text("1 a b\n")
+        rc = main(["score", "--embeddings", str(archive),
+                   "--trials", str(trials),
+                   "--out", str(tmp_path / "scores.txt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: embeddings 'a' and 'b' must be vectors" in err
+        assert "Traceback" not in err
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -314,3 +412,43 @@ class TestErrors:
         for name in ("synth", "train", "extract", "score", "eval",
                      "count-params"):
             assert name in out
+
+
+class TestRecordFiles:
+    @pytest.mark.parametrize("records,edit,fragment", [
+        ([("a", (2,), bytes(8))], lambda b: b"NOPE" + b[4:], "bad magic"),
+        ([("a", (2,), bytes(8))], lambda b: b[:-4], "truncated"),
+        ([("a", (2,), bytes(8))], lambda b: b[:4] + b"\x63" + b[5:],
+         "unsupported format version 99"),
+        ([("a", (2,), bytes(8))] * 2, None, "duplicate record 'a'"),
+        ([("a", (2 ** 20, 2 ** 20), b"")], None, "claims"),
+    ], ids=["bad_magic", "truncated", "version", "duplicate_name",
+            "oversized_extents"])
+    def test_every_error_names_the_file(self, tmp_path, records, edit,
+                                        fragment):
+        path = tmp_path / "r.bin"
+        write_raw_records(path, records)
+        if edit is not None:
+            path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CheckpointFormatError) as exc:
+            read_records(path)
+        message = str(exc.value)
+        assert message.startswith("%s: " % path) and fragment in message
+
+
+class TestLayering:
+    @pytest.mark.parametrize("modules,below", [
+        ("saep.verification, saep.records",
+         ("saep.model", "saep.tensor", "scipy")),
+        ("saep.cache", ("saep.model",)),
+    ], ids=["records_and_scoring", "feature_cache"])
+    def test_import_does_not_load(self, modules, below):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(saep.__file__)),
+            os.environ.get("PYTHONPATH")])))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, %s; print(*sys.modules)" % modules],
+            env=env, capture_output=True, text=True, check=True).stdout.split()
+        assert [m for m in loaded if any(
+            m == name or m.startswith(name + ".") for name in below)] == []
