@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Optional, get_type_hints
+from typing import Dict, Iterable, Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from .model import ModelConfig, SaepModel, init_model, LOSS_SOFTMAX, \
-    LOSS_AM_SOFTMAX
-from .optim import AdamState
+from .model import ConfigError, ModelConfig, SaepModel, param_shapes, \
+    LOSS_SOFTMAX, LOSS_AM_SOFTMAX
+from .optim import AdamState, ParameterSet
 from .records import CheckpointFormatError, read_records, write_records
+from .tensor import Tensor
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
            "speaker_fingerprint"]
@@ -29,6 +30,10 @@ _LOSS_NAME = {v: k for k, v in _LOSS_CODE.items()}
 _CFG_TYPES = {f.name: get_type_hints(ModelConfig)[f.name]
               for f in fields(ModelConfig)}
 _OPT_SCALARS = ("lr", "beta1", "beta2", "eps")
+# Every record of a checkpoint that is not a parameter or an Adam moment.
+_SCALAR_RECORDS = ({"cfg." + name for name in _CFG_TYPES}
+                   | {"opt." + name for name in _OPT_SCALARS
+                      + ("step", "seed", "speakers")})
 
 
 # Integers are stored as four 16-bit words, low word first, which float32
@@ -98,6 +103,23 @@ def _scalar(path, records: Dict[str, np.ndarray], key: str, kind: type):
            raw.tolist() if raw.size <= 4 else "%d values" % raw.size))
 
 
+def _check_params(path, shapes: Dict[str, Tuple[int, ...]],
+                  arrays: Dict[str, np.ndarray], prefix: str = "") -> None:
+    """Raise unless ``arrays`` holds a finite array of each shape in the
+    parameter table ``shapes``; errors name the file and the record."""
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise CheckpointFormatError("%s: missing parameter %r"
+                                        % (path, prefix + name))
+        if arrays[name].shape != shape:
+            raise CheckpointFormatError(
+                "%s: record %r has shape %s but the config requires %s"
+                % (path, prefix + name, arrays[name].shape, shape))
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointFormatError("%s: record %r holds a non-finite "
+                                        "value" % (path, prefix + name))
+
+
 def load_checkpoint(path) -> Checkpoint:
     records = read_records(path)
     kwargs = {name: _scalar(path, records, "cfg." + name,
@@ -107,37 +129,38 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError("%s: record 'cfg.loss' holds unknown "
                                     "loss code %r" % (path, kwargs["loss"]))
     kwargs["loss"] = _LOSS_NAME[kwargs["loss"]]
-    config = ModelConfig(**kwargs).validate()
-    params = {name: arr for name, arr in records.items()
-              if not name.startswith(("cfg.", "opt."))}
+    try:
+        config = ModelConfig(**kwargs).validate()
+    except ConfigError as exc:  # each message begins with the field name
+        raise CheckpointFormatError("%s: record 'cfg.%s': %s" % (
+            path, str(exc).split()[0], exc)) from None
     step = _scalar(path, records, "opt.step", int)
     opt = AdamState(step=step, **{
         name: _scalar(path, records, "opt." + name, float)
         for name in _OPT_SCALARS})
-    for name in params:
-        m_key, v_key = "opt.m." + name, "opt.v." + name
-        if m_key in records:
-            opt.m[name] = records[m_key]
-        if v_key in records:
-            opt.v[name] = records[v_key]
     speakers = (_scalar(path, records, "opt.speakers", int)
                 if "opt.speakers" in records else None)
+    shapes = param_shapes(config)
+    params, opt.m, opt.v = ({name: records.pop(prefix + name)
+                             for name in shapes if prefix + name in records}
+                            for prefix in ("", "opt.m.", "opt.v."))
+    for prefix, arrays in (("", params), ("opt.m.", opt.m), ("opt.v.", opt.v)):
+        _check_params(path, shapes, arrays, prefix)
+    unknown = sorted(set(records) - _SCALAR_RECORDS)
+    if unknown:
+        raise CheckpointFormatError(
+            "%s: record %r is neither a parameter of this config, nor its "
+            "Adam moment, nor a cfg./opt. scalar" % (path, unknown[0]))
     return Checkpoint(config=config, params=params, opt=opt, step=step,
                       seed=_scalar(path, records, "opt.seed", int),
                       speakers=speakers)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> SaepModel:
-    """Rebuild a model and overwrite its parameters from a checkpoint."""
-    model = init_model(ckpt.config, seed=0)
-    for name, value in model.params.items():
-        if name not in ckpt.params:
-            raise CheckpointFormatError("checkpoint missing parameter %r"
-                                        % name)
-        stored = ckpt.params[name]
-        if stored.shape != value.data.shape:
-            raise CheckpointFormatError(
-                "parameter %r has shape %s in checkpoint but the config "
-                "requires %s" % (name, stored.shape, value.data.shape))
-        value.data = stored.astype(np.float32, copy=True)
-    return model
+    """A model holding float32 copies of the checkpoint's parameters."""
+    shapes = param_shapes(ckpt.config)
+    _check_params("checkpoint", shapes, ckpt.params)
+    params = ParameterSet()
+    for name in shapes:
+        params.add(name, Tensor(ckpt.params[name].astype(np.float32)))
+    return SaepModel(ckpt.config, params)

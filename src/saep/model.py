@@ -22,7 +22,7 @@ from .tensor import Tensor
 from .verification import SpeakerEmbedding
 
 __all__ = ["ModelConfig", "SaepModel", "SpeakerEmbedding", "ConfigError",
-           "am_softmax_loss", "init_model", "FC1_DIM",
+           "am_softmax_loss", "init_model", "param_shapes", "FC1_DIM",
            "LOSS_SOFTMAX", "LOSS_AM_SOFTMAX"]
 
 LOSS_SOFTMAX = "softmax"
@@ -72,10 +72,30 @@ class ModelConfig:
         return self
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
-            shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
+def param_shapes(config: ModelConfig) -> Dict[str, Tuple[int, ...]]:
+    """Every parameter's name and shape, in creation order: the one table
+    that ``init_model`` and checkpoint loading both read."""
+    c = config
+    shapes: Dict[str, Tuple[int, ...]] = {}
+    for i in range(c.n_blocks):
+        pre = "enc%d." % i
+        shapes.update({
+            pre + "w_q": (c.d_m, c.d_k), pre + "w_k": (c.d_m, c.d_k),
+            pre + "w_v": (c.d_m, c.d_v), pre + "w_o": (c.d_v, c.d_m),
+            pre + "w_1": (c.d_m, c.d_ff), pre + "b_1": (c.d_ff,),
+            pre + "w_2": (c.d_ff, c.d_m), pre + "b_2": (c.d_m,),
+            pre + "ln1.gain": (c.d_m,), pre + "ln1.bias": (c.d_m,),
+            pre + "ln2.gain": (c.d_m,), pre + "ln2.bias": (c.d_m,)})
+    shapes.update({
+        "pool.w_c": (c.d_m, 1),
+        "head.fc1.w": (c.d_m, FC1_DIM), "head.fc1.b": (FC1_DIM,),
+        "head.fc2.w": (FC1_DIM, c.embed_dim), "head.fc2.b": (c.embed_dim,),
+        "head.fc3.w": (c.embed_dim, c.embed_dim), "head.fc3.b": (c.embed_dim,),
+        "out.w": (c.embed_dim, c.n_speakers)})
+    if c.loss == LOSS_SOFTMAX:
+        # The AMSoftmax output layer is bias-free by construction.
+        shapes["out.b"] = (c.n_speakers,)
+    return shapes
 
 
 def init_model(config: ModelConfig, seed: int = 0) -> "SaepModel":
@@ -84,37 +104,13 @@ def init_model(config: ModelConfig, seed: int = 0) -> "SaepModel":
     config.validate()
     rng = np.random.default_rng(seed)
     params = ParameterSet()
-    c = config
-    for i in range(c.n_blocks):
-        pre = "enc%d." % i
-        params.add(pre + "w_q", Tensor(_xavier(rng, c.d_m, c.d_k, (c.d_m, c.d_k))))
-        params.add(pre + "w_k", Tensor(_xavier(rng, c.d_m, c.d_k, (c.d_m, c.d_k))))
-        params.add(pre + "w_v", Tensor(_xavier(rng, c.d_m, c.d_v, (c.d_m, c.d_v))))
-        params.add(pre + "w_o", Tensor(_xavier(rng, c.d_v, c.d_m, (c.d_v, c.d_m))))
-        params.add(pre + "w_1", Tensor(_xavier(rng, c.d_m, c.d_ff, (c.d_m, c.d_ff))))
-        params.add(pre + "b_1", Tensor(np.zeros(c.d_ff, dtype=np.float32)))
-        params.add(pre + "w_2", Tensor(_xavier(rng, c.d_ff, c.d_m, (c.d_ff, c.d_m))))
-        params.add(pre + "b_2", Tensor(np.zeros(c.d_m, dtype=np.float32)))
-        for ln in ("ln1", "ln2"):
-            params.add(pre + ln + ".gain",
-                       Tensor(np.ones(c.d_m, dtype=np.float32)))
-            params.add(pre + ln + ".bias",
-                       Tensor(np.zeros(c.d_m, dtype=np.float32)))
-    params.add("pool.w_c", Tensor(_xavier(rng, c.d_m, 1, (c.d_m, 1))))
-    params.add("head.fc1.w", Tensor(_xavier(rng, c.d_m, FC1_DIM,
-                                            (c.d_m, FC1_DIM))))
-    params.add("head.fc1.b", Tensor(np.zeros(FC1_DIM, dtype=np.float32)))
-    params.add("head.fc2.w", Tensor(_xavier(rng, FC1_DIM, c.embed_dim,
-                                            (FC1_DIM, c.embed_dim))))
-    params.add("head.fc2.b", Tensor(np.zeros(c.embed_dim, dtype=np.float32)))
-    params.add("head.fc3.w", Tensor(_xavier(rng, c.embed_dim, c.embed_dim,
-                                            (c.embed_dim, c.embed_dim))))
-    params.add("head.fc3.b", Tensor(np.zeros(c.embed_dim, dtype=np.float32)))
-    params.add("out.w", Tensor(_xavier(rng, c.embed_dim, c.n_speakers,
-                                       (c.embed_dim, c.n_speakers))))
-    if c.loss == LOSS_SOFTMAX:
-        # The AMSoftmax output layer is bias-free by construction.
-        params.add("out.b", Tensor(np.zeros(c.n_speakers, dtype=np.float32)))
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:  # a (fan_in, fan_out) matrix
+            limit = np.sqrt(6.0 / sum(shape))
+            value = rng.uniform(-limit, limit, size=shape)
+        else:
+            value = np.full(shape, float(name.endswith(".gain")))
+        params.add(name, Tensor(value.astype(np.float32)))
     return SaepModel(config, params)
 
 

@@ -88,4 +88,7 @@ def read_records(path) -> Dict[str, np.ndarray]:
             except ValueError:  # e.g. extents (0, 2**63): no data, no array
                 fail("record %r has extents %s, too large for an array"
                      % (name, shape))
+        if fh.tell() != size:
+            fail("%d bytes left over after the last of %d records"
+                 % (size - fh.tell(), count))
     return records

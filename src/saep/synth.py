@@ -75,7 +75,7 @@ def _build_trials(rng: np.random.Generator, manifest: Manifest,
     speakers = sorted(by_speaker)
     trials: List[Trial] = []
     seen = set()
-    while sum(1 for t in trials if t.label == 1) < n_pairs_per_class:
+    while len(trials) < n_pairs_per_class:
         spk = speakers[rng.integers(len(speakers))]
         if len(by_speaker[spk]) < 2:
             continue
@@ -85,7 +85,7 @@ def _build_trials(rng: np.random.Generator, manifest: Manifest,
             continue
         seen.add(key)
         trials.append(Trial(1, key[1], key[2]))
-    while sum(1 for t in trials if t.label == 0) < n_pairs_per_class:
+    while len(trials) < 2 * n_pairs_per_class:
         i, j = rng.choice(len(speakers), size=2, replace=False)
         ua = by_speaker[speakers[i]][rng.integers(len(by_speaker[speakers[i]]))]
         ub = by_speaker[speakers[j]][rng.integers(len(by_speaker[speakers[j]]))]
@@ -103,6 +103,15 @@ def synth_corpus(out_dir, n_speakers: int = 10, utts_per_speaker: int = 20,
                  n_pairs_per_class: int = 500) -> SynthCorpus:
     """Generate WAVs, a manifest, and a balanced trial list under
     ``out_dir``, deterministically from ``seed``."""
+    # Trials are distinct ordered pairs of distinct utterances.
+    n_target = n_speakers * utts_per_speaker * (utts_per_speaker - 1)
+    n_nontarget = n_speakers * (n_speakers - 1) * utts_per_speaker ** 2
+    if n_pairs_per_class > min(n_target, n_nontarget):
+        raise ValueError(
+            "cannot draw %d trials of each class: %d speakers with %d "
+            "utterances each give only %d distinct target and %d distinct "
+            "nontarget pairs" % (n_pairs_per_class, n_speakers,
+                                 utts_per_speaker, n_target, n_nontarget))
     rng = np.random.default_rng(seed)
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)

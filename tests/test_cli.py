@@ -65,6 +65,13 @@ class TestSynth:
             assert len(set(triple)) == 3
             assert all(f in FREQ_GRID for f in triple)
 
+    def test_every_distinct_pair_can_be_drawn(self, tmp_path):
+        corpus = synth_corpus(tmp_path, n_speakers=2, utts_per_speaker=2,
+                              duration=0.1, seed=3, n_pairs_per_class=4)
+        assert len({(t.label, t.enroll_id, t.test_id)
+                    for t in corpus.trials}) == 8
+        assert sum(t.label for t in corpus.trials) == 4
+
     def test_cli_synth_writes_wavs(self, tmp_path, capsys):
         rc = main(["synth", "--out-dir", str(tmp_path / "c"),
                    "--n-speakers", "2", "--utts-per-speaker", "2",
@@ -199,6 +206,13 @@ class TestCountParams:
             in capsys.readouterr().out
 
 
+def child_env():
+    """The environment for a child Python that imports this ``saep``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(saep.__file__)),
+        os.environ.get("PYTHONPATH")])))
+
+
 def write_raw_records(path, records):
     """A record file built by hand from (name, extents, data bytes), so that
     its header can claim what ``write_records`` never writes."""
@@ -320,8 +334,11 @@ class TestErrors:
         ("opt.step", [-3.0]),
         ("opt.step", [1.0, 70000.0, 0.0, 0.0]),
         ("opt.lr", [float("inf")]),
+        ("cfg.n_blocks", [0.0]),
+        ("cfg.head_dropout", [1.5]),
     ], ids=["fractional_int", "no_value", "unknown_loss", "nan_step",
-            "negative_step", "word_beyond_16_bits", "infinite_float"])
+            "negative_step", "word_beyond_16_bits", "infinite_float",
+            "zero_blocks", "dropout_out_of_range"])
     def test_malformed_checkpoint_scalar(self, trained, tmp_path, mini_corpus,
                                          capsys, key, value):
         records = read_records(trained / "model.ckpt")
@@ -335,6 +352,71 @@ class TestErrors:
         assert rc == 1
         assert "error: %s: record %r" % (bad, key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda r: r.pop("head.fc1.w"), "missing parameter 'head.fc1.w'"),
+        (lambda r: r["head.fc1.w"].__setitem__((0, 0), np.nan),
+         "record 'head.fc1.w' holds a non-finite value"),
+        (lambda r: r.__setitem__("pool.w_c", np.zeros((91, 1))),
+         "record 'pool.w_c' has shape (91, 1) but the config requires "
+         "(90, 1)"),
+        (lambda r: r.__setitem__("junk.param", np.zeros(3)),
+         "record 'junk.param' is neither a parameter"),
+        (lambda r: r.__setitem__("opt.m.head.fc1.b", np.zeros(3)),
+         "record 'opt.m.head.fc1.b' has shape (3,) but the config requires "
+         "(90,)"),
+        (lambda r: r.__setitem__("opt.v.enc9.w_q", np.zeros(3)),
+         "record 'opt.v.enc9.w_q' is neither a parameter"),
+        (lambda r: r["opt.v.pool.w_c"].__setitem__((1, 0), np.inf),
+         "record 'opt.v.pool.w_c' holds a non-finite value"),
+        (lambda r: r.pop("opt.m.head.fc2.b"),
+         "missing parameter 'opt.m.head.fc2.b'"),
+    ], ids=["missing_parameter", "nan_parameter", "wrong_shape",
+            "unknown_parameter", "moment_shape", "moment_of_no_parameter",
+            "infinite_moment", "missing_moment"])
+    def test_malformed_checkpoint_array(self, trained, tmp_path, mini_corpus,
+                                        capsys, edit, fragment):
+        records = read_records(trained / "model.ckpt")
+        edit(records)
+        bad = tmp_path / "bad.ckpt"
+        write_records(bad, records)
+        rc = main(["extract", "--checkpoint", str(bad),
+                   "--manifest", mini_corpus.manifest_path,
+                   "--out", str(tmp_path / "e.bin")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: %s: %s" % (bad, fragment) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "e.bin").exists()
+
+    def test_embedding_archive_with_trailing_bytes(self, trained, tmp_path,
+                                                   mini_corpus, capsys):
+        archive = tmp_path / "embeddings.bin"
+        archive.write_bytes((trained / "embeddings.bin").read_bytes()
+                            + bytes(29))
+        rc = main(["score", "--embeddings", str(archive),
+                   "--trials", mini_corpus.trials_path,
+                   "--out", str(tmp_path / "scores.txt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: %s: 29 bytes left over after the last of 9 records" \
+            % archive in err
+        assert "Traceback" not in err
+
+    def test_synth_with_more_trials_than_pairs(self, tmp_path):
+        # In a child process with a timeout: drawing distinct pairs that do
+        # not exist would never end.
+        done = subprocess.run(
+            [sys.executable, "-m", "saep", "synth",
+             "--out-dir", str(tmp_path / "c"), "--n-speakers", "2",
+             "--utts-per-speaker", "2", "--trial-pairs", "10"],
+            env=child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "error: cannot draw 10 trials of each class" in done.stderr
+        assert "only 4 distinct target and 8 distinct nontarget pairs" \
+            in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "c").exists()
 
     def test_resume_with_renamed_speakers(self, trained, tmp_path,
                                           mini_corpus, capsys):
@@ -422,8 +504,10 @@ class TestRecordFiles:
          "unsupported format version 99"),
         ([("a", (2,), bytes(8))] * 2, None, "duplicate record 'a'"),
         ([("a", (2 ** 20, 2 ** 20), b"")], None, "claims"),
+        ([("a", (2,), bytes(8)), ("b", (1,), bytes(4))], lambda b: b + b"xyz",
+         "3 bytes left over after the last of 2 records"),
     ], ids=["bad_magic", "truncated", "version", "duplicate_name",
-            "oversized_extents"])
+            "oversized_extents", "trailing_bytes"])
     def test_every_error_names_the_file(self, tmp_path, records, edit,
                                         fragment):
         path = tmp_path / "r.bin"
@@ -443,12 +527,10 @@ class TestLayering:
         ("saep.cache", ("saep.model",)),
     ], ids=["records_and_scoring", "feature_cache"])
     def test_import_does_not_load(self, modules, below):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            os.path.dirname(os.path.dirname(saep.__file__)),
-            os.environ.get("PYTHONPATH")])))
         loaded = subprocess.run(
             [sys.executable, "-c",
              "import sys, %s; print(*sys.modules)" % modules],
-            env=env, capture_output=True, text=True, check=True).stdout.split()
+            env=child_env(), capture_output=True, text=True,
+            check=True).stdout.split()
         assert [m for m in loaded if any(
             m == name or m.startswith(name + ".") for name in below)] == []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from saep import tensor as tz
 from saep.features import FeatureSequence
 from saep.gradcheck import gradient_check
-from saep.model import ConfigError, ModelConfig, am_softmax_loss, init_model
+from saep.model import ConfigError, ModelConfig, am_softmax_loss, \
+    init_model, LOSS_AM_SOFTMAX
 from saep.tensor import Tensor
 
 
@@ -38,6 +40,21 @@ class TestConfig:
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
             tiny_config(**bad).validate()
+
+
+class TestInitModel:
+    def test_parameters_match_golden_digest(self):
+        """Every seeded run starts from these draws, so they are pinned:
+        names, order, dtypes, shapes and bytes."""
+        model = init_model(tiny_config(n_blocks=2, loss=LOSS_AM_SOFTMAX),
+                           seed=1)
+        digest = hashlib.sha256()
+        for name, value in model.params.items():
+            digest.update(("%s %s %s;" % (name, value.data.dtype,
+                                          value.data.shape)).encode())
+            digest.update(value.data.tobytes())
+        assert digest.hexdigest() == ("a962a768869e15a9b1136e4c7952a1c8"
+                                      "5678bb84cab0df8d30e2324e01e312e7")
 
 
 class TestQkvProject:

@@ -9,7 +9,9 @@ from saep.checkpoint import Checkpoint, CheckpointFormatError, \
 from saep.features import FeatureSequence
 from saep.manifest import Manifest, ManifestError, load_manifest, \
     save_manifest
-from saep.model import ModelConfig, init_model
+from saep.model import LOSS_AM_SOFTMAX, LOSS_SOFTMAX, ModelConfig, \
+    init_model, param_shapes
+from saep.optim import AdamState
 from saep.train import TrainConfig, chunk_accuracy, make_batch, train
 
 
@@ -273,6 +275,34 @@ class TestCheckpointRoundtrip:
         del loaded.params["head.fc1.w"]
         with pytest.raises(CheckpointFormatError, match="head.fc1.w"):
             model_from_checkpoint(loaded)
+
+
+class TestParamTable:
+    @settings(max_examples=25,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=st.builds(
+        ModelConfig, n_speakers=st.integers(1, 4), n_blocks=st.integers(1, 2),
+        d_m=st.integers(1, 6), d_k=st.integers(1, 5), d_v=st.integers(1, 5),
+        d_ff=st.integers(1, 6), embed_dim=st.integers(1, 5),
+        loss=st.sampled_from([LOSS_SOFTMAX, LOSS_AM_SOFTMAX])),
+        seed=st.integers(0, 2 ** 32 - 1))
+    def test_table_drives_init_and_checkpoint_reload(self, tmp_path, config,
+                                                     seed):
+        model = init_model(config, seed=seed)
+        assert [(name, value.data.shape) for name, value
+                in model.params.items()] == list(param_shapes(config).items())
+        save_checkpoint(Checkpoint(
+            config=config, opt=AdamState(), step=0, seed=seed,
+            params={name: value.data for name, value in model.params.items()}),
+            tmp_path / "ck.bin")
+        ckpt = load_checkpoint(tmp_path / "ck.bin")
+        reloaded = model_from_checkpoint(ckpt)
+        assert reloaded.params.names() == model.params.names()
+        for name, value in model.params.items():
+            got = reloaded.params[name].data
+            assert got.dtype == np.float32 and got.shape == value.data.shape
+            assert got.tobytes() == value.data.tobytes(), name
+            assert not np.shares_memory(got, ckpt.params[name])
 
 
 class TestResume:
