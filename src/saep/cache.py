@@ -46,7 +46,11 @@ def features_for_manifest(manifest: Manifest,
         if cache_path is not None and os.path.exists(cache_path):
             out[utt_id] = load_feature_cache(cache_path, utt_id)
             continue
-        feats = compute_features(load_audio(wav_path), utterance_id=utt_id)
+        clip = load_audio(wav_path)
+        try:
+            feats = compute_features(clip, utterance_id=utt_id)
+        except ValueError as exc:
+            raise type(exc)("%s: %s" % (wav_path, exc)) from None
         if cache_path is not None:
             save_feature_cache(feats, cache_path)
         out[utt_id] = feats

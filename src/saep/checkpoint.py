@@ -160,7 +160,6 @@ def model_from_checkpoint(ckpt: Checkpoint) -> SaepModel:
     """A model holding float32 copies of the checkpoint's parameters."""
     shapes = param_shapes(ckpt.config)
     _check_params("checkpoint", shapes, ckpt.params)
-    params = ParameterSet()
-    for name in shapes:
-        params.add(name, Tensor(ckpt.params[name].astype(np.float32)))
-    return SaepModel(ckpt.config, params)
+    return SaepModel(ckpt.config, ParameterSet(
+        (name, Tensor(ckpt.params[name].astype(np.float32),
+                      requires_grad=True)) for name in shapes))

@@ -198,17 +198,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_count_params(args) -> int:
     from .config import build_configs
-    from .model import init_model
+    from .model import count_params, param_breakdown
     sections = _load_run_config(args.config)
     model_config, _ = build_configs(sections, n_speakers=args.n_speakers)
-    model = init_model(model_config, seed=0)
-    breakdown = model.param_breakdown()
+    breakdown = param_breakdown(model_config)
     print("component        parameters")
     for component in ("encoder", "pooling", "head", "output"):
         print("%-16s %10d" % (component, breakdown[component]))
     for convention in ("all", "excluding-output", "embedding-extractor"):
         print("total (%s): %d" % (convention,
-                                  model.count_params(convention)))
+                                  count_params(model_config, convention)))
     return 0
 
 

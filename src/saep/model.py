@@ -10,8 +10,9 @@ embedding permutation-invariant in eval mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .tensor import Tensor
 from .verification import SpeakerEmbedding
 
 __all__ = ["ModelConfig", "SaepModel", "SpeakerEmbedding", "ConfigError",
-           "am_softmax_loss", "init_model", "param_shapes", "FC1_DIM",
-           "LOSS_SOFTMAX", "LOSS_AM_SOFTMAX"]
+           "am_softmax_loss", "init_model", "param_shapes", "param_breakdown",
+           "count_params", "FC1_DIM", "LOSS_SOFTMAX", "LOSS_AM_SOFTMAX"]
 
 LOSS_SOFTMAX = "softmax"
 LOSS_AM_SOFTMAX = "am_softmax"
@@ -110,8 +111,45 @@ def init_model(config: ModelConfig, seed: int = 0) -> "SaepModel":
             value = rng.uniform(-limit, limit, size=shape)
         else:
             value = np.full(shape, float(name.endswith(".gain")))
-        params.add(name, Tensor(value.astype(np.float32)))
+        params[name] = Tensor(value.astype(np.float32), requires_grad=True)
     return SaepModel(config, params)
+
+
+def param_breakdown(config: ModelConfig) -> Dict[str, int]:
+    """Parameter elements per component, read from ``param_shapes``."""
+    counts = {"encoder": 0, "pooling": 0, "head": 0, "output": 0}
+    for name, shape in param_shapes(config).items():
+        if name.startswith("enc"):
+            counts["encoder"] += math.prod(shape)
+        elif name.startswith("pool."):
+            counts["pooling"] += math.prod(shape)
+        elif name.startswith("head."):
+            counts["head"] += math.prod(shape)
+        else:
+            counts["output"] += math.prod(shape)
+    return counts
+
+
+def count_params(config: ModelConfig, convention: str = "all") -> int:
+    """Total parameter elements under a counting convention.
+
+    ``all``: every trainable parameter.
+    ``excluding-output``: drop the speaker-dependent output layer.
+    ``embedding-extractor``: additionally drop the last hidden layer,
+    i.e. count only what is needed to produce embeddings (this is the
+    convention that reconciles with the published model sizes).
+    """
+    counts = param_breakdown(config)
+    total = sum(counts.values())
+    if convention == "all":
+        return total
+    if convention == "excluding-output":
+        return total - counts["output"]
+    if convention == "embedding-extractor":
+        shapes = param_shapes(config)
+        fc3 = math.prod(shapes["head.fc3.w"]) + math.prod(shapes["head.fc3.b"])
+        return total - counts["output"] - fc3
+    raise ValueError("unknown counting convention %r" % convention)
 
 
 def _am_logits(features: Tensor, weight: Tensor, scale: float,
@@ -158,39 +196,32 @@ class SaepModel:
         v = tz.linear(x, p[pre + "w_v"])
         return q, k, v
 
-    @staticmethod
-    def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                             trace: Optional[list] = None) -> Tensor:
-        return tz.attention(q, k, v, trace=trace)
-
     def position_ffn(self, h: Tensor, block: int) -> Tensor:
         p = self.params
         pre = "enc%d." % block
         hidden = tz.relu(tz.linear(h, p[pre + "w_1"], p[pre + "b_1"]))
         return tz.linear(hidden, p[pre + "w_2"], p[pre + "b_2"])
 
-    def encoder_block(self, x: Tensor, block: int, train: bool = False,
+    def encoder_block(self, x: Tensor, block: int,
                       rng: Optional[np.random.Generator] = None,
                       trace: Optional[list] = None) -> Tensor:
         p = self.params
         c = self.config
         pre = "enc%d." % block
         q, k, v = self.qkv_project(x, block)
-        attn = self.scaled_dot_attention(q, k, v, trace=trace)
+        attn = tz.attention(q, k, v, trace=trace)
         proj = tz.linear(attn, p[pre + "w_o"])
-        proj = tz.dropout(proj, c.encoder_dropout, rng, train)
+        proj = tz.dropout(proj, c.encoder_dropout, rng)
         s1 = tz.layer_norm(tz.add(x, proj), p[pre + "ln1.gain"],
                            p[pre + "ln1.bias"])
-        ffn = tz.dropout(self.position_ffn(s1, block), c.encoder_dropout,
-                         rng, train)
+        ffn = tz.dropout(self.position_ffn(s1, block), c.encoder_dropout, rng)
         return tz.layer_norm(tz.add(s1, ffn), p[pre + "ln2.gain"],
                              p[pre + "ln2.bias"])
 
-    def encode(self, x: Tensor, train: bool = False,
-               rng: Optional[np.random.Generator] = None,
+    def encode(self, x: Tensor, rng: Optional[np.random.Generator] = None,
                trace: Optional[list] = None) -> Tensor:
         for i in range(self.config.n_blocks):
-            x = self.encoder_block(x, i, train=train, rng=rng, trace=trace)
+            x = self.encoder_block(x, i, rng=rng, trace=trace)
         return x
 
     # -- pooling and head --------------------------------------------------
@@ -210,23 +241,22 @@ class SaepModel:
         p = self.params
         return tz.relu(tz.linear(x, p[layer + ".w"], p[layer + ".b"]))
 
-    def embed(self, c: Tensor, train: bool = False,
+    def embed(self, c: Tensor,
               rng: Optional[np.random.Generator] = None) -> Tensor:
         """First two head layers (B x d_m -> B x embed_dim). The embedding
         is the second hidden layer's post-ReLU activation, before dropout."""
         h1 = tz.dropout(self._dense(c, "head.fc1"), self.config.head_dropout,
-                        rng, train)
+                        rng)
         return self._dense(h1, "head.fc2")
 
-    def head(self, c: Tensor, train: bool = False,
-             rng: Optional[np.random.Generator] = None
+    def head(self, c: Tensor, rng: Optional[np.random.Generator] = None
              ) -> Tuple[Tensor, Tensor]:
         """Classifier head fc1 -> fc2 -> fc3 with dropout after each layer;
         returns (embedding, last hidden activation)."""
         rate = self.config.head_dropout
-        embedding = self.embed(c, train=train, rng=rng)
-        h2 = tz.dropout(embedding, rate, rng, train)
-        h3 = tz.dropout(self._dense(h2, "head.fc3"), rate, rng, train)
+        embedding = self.embed(c, rng=rng)
+        h2 = tz.dropout(embedding, rate, rng)
+        h3 = tz.dropout(self._dense(h2, "head.fc3"), rate, rng)
         return embedding, h3
 
     def output_logits(self, h: Tensor, labels=None) -> Tensor:
@@ -240,12 +270,12 @@ class SaepModel:
                              labels)
         return tz.linear(h, p["out.w"], p["out.b"])
 
-    def head_forward(self, c: Tensor, train: bool = False,
+    def head_forward(self, c: Tensor,
                      rng: Optional[np.random.Generator] = None
                      ) -> Tuple[Tensor, Tensor]:
         """Classifier head plus output layer; returns (logits, embedding)
         for a single pooled vector (d,) or a batch (B x d)."""
-        embedding, last = self.head(c, train=train, rng=rng)
+        embedding, last = self.head(c, rng=rng)
         return self.output_logits(last), embedding
 
     # -- end to end --------------------------------------------------------
@@ -253,22 +283,27 @@ class SaepModel:
     def forward_loss(self, batch: np.ndarray, labels,
                      train: bool = True,
                      rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Loss over a batch of feature chunks (B x T x FEATURE_DIM)."""
+        """Loss over a batch of feature chunks (B x T x FEATURE_DIM);
+        ``train`` runs dropout with masks drawn from ``rng``."""
+        if train and rng is None:
+            raise ValueError("a training forward pass needs an rng for its "
+                             "dropout masks")
         x = Tensor(batch)
         if x.ndim != 3 or x.shape[-1] != self.config.d_m:
             raise tz.DimensionError("expected B x T x %d batch, got %s"
                                     % (self.config.d_m, x.shape))
-        h = self.encode(x, train=train, rng=rng)
-        _, last = self.head(self.attention_pool(h), train=train, rng=rng)
+        rng = rng if train else None
+        h = self.encode(x, rng=rng)
+        _, last = self.head(self.attention_pool(h), rng=rng)
         return tz.cross_entropy(self.output_logits(last, labels), labels)
 
     def logits_eval(self, batch: np.ndarray) -> np.ndarray:
         """Eval-mode class logits for a batch of chunks (for accuracy)."""
         with tz.no_grad():
             x = Tensor(batch)
-            h = self.encode(x, train=False)
+            h = self.encode(x)
             pooled = self.attention_pool(h)
-            logits, _ = self.head_forward(pooled, train=False)
+            logits, _ = self.head_forward(pooled)
         return logits.data
 
     def extract_embedding(self, feats: FeatureSequence) -> SpeakerEmbedding:
@@ -276,7 +311,7 @@ class SaepModel:
         if feats.frames.shape[0] < 1:
             raise ValueError("cannot embed an empty feature sequence")
         with tz.no_grad():
-            h = self.encode(Tensor(feats.frames), train=False)
+            h = self.encode(Tensor(feats.frames))
             embedding = self.embed(self.attention_pool(h))
         return SpeakerEmbedding(vector=embedding.data.copy(),
                                 utterance_id=feats.utterance_id)
@@ -284,35 +319,7 @@ class SaepModel:
     # -- accounting --------------------------------------------------------
 
     def param_breakdown(self) -> Dict[str, int]:
-        counts = {"encoder": 0, "pooling": 0, "head": 0, "output": 0}
-        for name, value in self.params.items():
-            if name.startswith("enc"):
-                counts["encoder"] += value.data.size
-            elif name.startswith("pool."):
-                counts["pooling"] += value.data.size
-            elif name.startswith("head."):
-                counts["head"] += value.data.size
-            else:
-                counts["output"] += value.data.size
-        return counts
+        return param_breakdown(self.config)
 
     def count_params(self, convention: str = "all") -> int:
-        """Total parameter elements under a counting convention.
-
-        ``all``: every trainable parameter.
-        ``excluding-output``: drop the speaker-dependent output layer.
-        ``embedding-extractor``: additionally drop the last hidden layer,
-        i.e. count only what is needed to produce embeddings (this is the
-        convention that reconciles with the published model sizes).
-        """
-        counts = self.param_breakdown()
-        total = sum(counts.values())
-        if convention == "all":
-            return total
-        if convention == "excluding-output":
-            return total - counts["output"]
-        if convention == "embedding-extractor":
-            fc3 = (self.params["head.fc3.w"].data.size
-                   + self.params["head.fc3.b"].data.size)
-            return total - counts["output"] - fc3
-        raise ValueError("unknown counting convention %r" % convention)
+        return count_params(self.config, convention)

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 import numpy as np
-
-from .tensor import Tensor
 
 __all__ = ["ParameterSet", "AdamState", "adam_step", "MissingGradientError"]
 
@@ -16,39 +14,11 @@ class MissingGradientError(RuntimeError):
     """adam_step was called before gradients were populated."""
 
 
-class ParameterSet:
-    """Ordered collection of uniquely named trainable tensors."""
-
-    def __init__(self):
-        self._params: Dict[str, Tensor] = {}
-
-    def add(self, name: str, value: Tensor) -> Tensor:
-        if not name:
-            raise ValueError("parameter name must be non-empty")
-        if name in self._params:
-            raise ValueError("duplicate parameter name: %r" % name)
-        value.requires_grad = True
-        self._params[name] = value
-        return value
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def items(self) -> Iterator[Tuple[str, Tensor]]:
-        return iter(self._params.items())
+class ParameterSet(dict):
+    """Trainable tensors by name, in ``param_shapes`` order."""
 
     def names(self):
-        return list(self._params.keys())
-
-    def zero_grad(self):
-        for value in self._params.values():
-            value.zero_grad()
+        return list(self)
 
 
 @dataclass
@@ -65,7 +35,7 @@ class AdamState:
 
 
 def adam_step(params: ParameterSet, state: AdamState) -> None:
-    """One in-place Adam update with bias correction; zeroes gradients."""
+    """One in-place Adam update with bias correction; clears gradients."""
     for name, value in params.items():
         if value.grad is None:
             raise MissingGradientError("parameter %r has no gradient" % name)
@@ -91,4 +61,4 @@ def adam_step(params: ParameterSet, state: AdamState) -> None:
         mhat = m / corr1
         vhat = v / corr2
         value.data -= lr * mhat / (np.sqrt(vhat) + eps)
-    params.zero_grad()
+        value.grad = None

@@ -408,10 +408,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return Tensor._from_op(out, (x, gain, bias), backward)
 
 
-def dropout(x, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout: scale by 1/keep at train time, identity in eval."""
+def dropout(x, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout with its mask drawn from ``rng``; identity if None."""
     x = _as_tensor(x)
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1), got %r" % rate)

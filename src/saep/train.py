@@ -79,6 +79,9 @@ def train(manifest: Manifest, features: Dict[str, FeatureSequence],
     """Run steps ``start_step+1 .. config.steps``; returns the final
     checkpoint and the (step, loss) trace."""
     config.validate()
+    if start_step > config.steps:
+        raise ValueError("cannot resume at step %d: the run ends at step %d"
+                         % (start_step, config.steps))
     if opt is None:
         opt = AdamState(lr=config.lr, beta1=config.beta1,
                         beta2=config.beta2, eps=config.eps)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import saep
+import saep.model
+from saep.audio import write_wav
 from saep.checkpoint import load_checkpoint, read_records, write_records, \
     speaker_fingerprint
 from saep.cli import main
@@ -204,6 +206,15 @@ class TestCountParams:
         assert main(["count-params", "--config", str(cfg)]) == 0
         assert "total (embedding-extractor): 462348" \
             in capsys.readouterr().out
+
+    def test_builds_no_model(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count-params built a model")
+        monkeypatch.setattr(saep.model, "init_model", refuse)
+        assert main(["count-params"]) == 0
+        out = capsys.readouterr().out
+        assert "total (all): 1716996" in out
+        assert "total (embedding-extractor): 1155596" in out
 
 
 def child_env():
@@ -436,6 +447,40 @@ class TestErrors:
         assert str(trained / "model.ckpt") in err and str(manifest) in err
         assert "Traceback" not in err
         assert not (tmp_path / "resumed.ckpt").exists()
+
+    def test_resume_past_the_run_end(self, trained, tmp_path, mini_corpus,
+                                     capsys):
+        rc = main(["train", "--config", str(trained / "run.cfg"),
+                   "--manifest", mini_corpus.manifest_path, "--steps", "1",
+                   "--resume", str(trained / "model.ckpt"),
+                   "--out", str(tmp_path / "r.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: cannot resume at step 2: the run ends at step 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.ckpt").exists()
+
+    @pytest.mark.parametrize("n_samples,rate,fragment", [
+        (100, 16000, "clip of 100 samples is shorter than one 400-sample"),
+        (16000, 8000, "expected 16000 Hz audio, got 8000 Hz"),
+    ], ids=["too_short", "wrong_rate"])
+    def test_front_end_error_names_the_wav(self, tmp_path, mini_corpus,
+                                           capsys, n_samples, rate, fragment):
+        wav = tmp_path / "bad.wav"
+        write_wav(wav, np.zeros(n_samples), rate)
+        entries = list(mini_corpus.manifest.entries)
+        entries[-1] = entries[-1][:2] + (str(wav),)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join("%s %s %s\n" % e for e in entries))
+        (tmp_path / "run.cfg").write_text(TRAIN_CONFIG)
+        rc = main(["train", "--config", str(tmp_path / "run.cfg"),
+                   "--manifest", str(manifest),
+                   "--out", str(tmp_path / "model.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: %s: %s" % (wav, fragment) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_resume_without_speaker_fingerprint(self, trained, tmp_path,
                                                 mini_corpus):

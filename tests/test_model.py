@@ -82,30 +82,30 @@ class TestQkvProject:
 
 
 class TestAttention:
-    def test_zero_queries_give_column_mean(self, tiny_model):
+    def test_zero_queries_give_column_mean(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal((5, 4)).astype(np.float32)
-        out = tiny_model.scaled_dot_attention(
+        out = tz.attention(
             Tensor(np.zeros((5, 4), dtype=np.float32)),
             Tensor(rng.standard_normal((5, 4)).astype(np.float32)),
             Tensor(v))
         np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (5, 1)),
                                    atol=1e-5)
 
-    def test_single_position_passthrough(self, tiny_model):
+    def test_single_position_passthrough(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal((1, 4)).astype(np.float32)
-        out = tiny_model.scaled_dot_attention(
+        out = tz.attention(
             Tensor(rng.standard_normal((1, 4)).astype(np.float32)),
             Tensor(rng.standard_normal((1, 4)).astype(np.float32)),
             Tensor(v))
         np.testing.assert_allclose(out.data, v, rtol=1e-6)
 
-    def test_scalar_softmax_oracle(self, tiny_model):
+    def test_scalar_softmax_oracle(self):
         q = Tensor([[1.0], [1.0]])
         k = Tensor([[10.0], [-10.0]])
         v = Tensor([[3.0, 1.0], [-5.0, 2.0]])
-        out = tiny_model.scaled_dot_attention(q, k, v)
+        out = tz.attention(q, k, v)
         # brute-force scalar softmax over the two positions
         w1 = math.exp(10.0) / (math.exp(10.0) + math.exp(-10.0))
         expected0 = [w1 * 3.0 + (1 - w1) * -5.0, w1 * 1.0 + (1 - w1) * 2.0]
@@ -316,6 +316,13 @@ class TestForwardLoss:
         loss = model.forward_loss(batch, labels, train=False)
         ref = tz.cross_entropy(Tensor(model.logits_eval(batch)), labels)
         assert loss.item() == ref.item()
+
+    def test_training_pass_needs_an_rng(self):
+        model = init_model(tiny_config(encoder_dropout=0.1, head_dropout=0.2),
+                           seed=2)
+        batch = np.zeros((1, 5, 6), dtype=np.float32)
+        with pytest.raises(ValueError, match="rng"):
+            model.forward_loss(batch, [0], train=True, rng=None)
 
     @pytest.mark.parametrize("loss_name", ["softmax", "am_softmax"])
     def test_gradient_check_tiny_config(self, loss_name):

@@ -9,19 +9,9 @@ from saep.tensor import Tensor
 def make_params(values):
     params = ParameterSet()
     for name, v in values.items():
-        params.add(name, Tensor(np.asarray(v, dtype=np.float32)))
+        params[name] = Tensor(np.asarray(v, dtype=np.float32),
+                              requires_grad=True)
     return params
-
-
-def test_parameter_name_must_be_nonempty():
-    with pytest.raises(ValueError):
-        ParameterSet().add("", Tensor([1.0]))
-
-
-def test_duplicate_names_rejected():
-    params = make_params({"w": [1.0]})
-    with pytest.raises(ValueError):
-        params.add("w", Tensor([2.0]))
 
 
 def test_missing_gradient_is_contract_error():

@@ -128,19 +128,18 @@ class TestFiniteness:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = tz.dropout(x, 0.5, np.random.default_rng(0), train=False)
+        out = tz.dropout(x, 0.5, None)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_train_mode_preserves_expectation(self):
         rng = np.random.default_rng(4)
         x = Tensor(np.ones((200, 200), dtype=np.float32))
-        out = tz.dropout(x, 0.3, rng, train=True)
+        out = tz.dropout(x, 0.3, rng)
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_mask_values(self):
         rng = np.random.default_rng(5)
-        out = tz.dropout(Tensor(np.ones(1000, dtype=np.float32)), 0.4, rng,
-                         train=True)
+        out = tz.dropout(Tensor(np.ones(1000, dtype=np.float32)), 0.4, rng)
         values = np.unique(out.data)
         assert len(values) == 2
         assert values[0] == 0.0
@@ -210,7 +209,7 @@ def test_dropout_eval_gradient_is_identity():
     x = randt(rng, 3, 4)
     w = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
     rep = gradient_check(
-        lambda: tz.tsum(tz.mul(tz.dropout(x, 0.5, None, train=False), w)),
+        lambda: tz.tsum(tz.mul(tz.dropout(x, 0.5, None), w)),
         [x], tol=1e-3)
     assert rep.passed, str(rep)
 
@@ -282,7 +281,7 @@ def test_every_op_keeps_float64():
             tz.linear(x, w, b), tz.attention(x, x, x), tz.transpose(x),
             tz.reshape(x, (6, 4)), tz.relu(x), tz.softmax_rows(x),
             tz.layer_norm(x, b, b),
-            tz.dropout(x, 0.5, np.random.default_rng(0), train=True),
+            tz.dropout(x, 0.5, np.random.default_rng(0)),
             tz.l2_normalize(x), tz.tsum(x), tz.tmean(x),
             tz.cross_entropy(tz.reshape(x, (6, 4)), [0, 1, 2, 3, 0, 1]),
         ]

@@ -10,7 +10,7 @@ from saep.features import FeatureSequence
 from saep.manifest import Manifest, ManifestError, load_manifest, \
     save_manifest
 from saep.model import LOSS_AM_SOFTMAX, LOSS_SOFTMAX, ModelConfig, \
-    init_model, param_shapes
+    count_params, init_model, param_shapes
 from saep.optim import AdamState
 from saep.train import TrainConfig, chunk_accuracy, make_batch, train
 
@@ -291,6 +291,12 @@ class TestParamTable:
         model = init_model(config, seed=seed)
         assert [(name, value.data.shape) for name, value
                 in model.params.items()] == list(param_shapes(config).items())
+        for convention, dropped in (
+                ("all", ()), ("excluding-output", ("out.",)),
+                ("embedding-extractor", ("out.", "head.fc3."))):
+            assert count_params(config, convention) == sum(
+                value.data.size for name, value in model.params.items()
+                if not name.startswith(dropped)), convention
         save_checkpoint(Checkpoint(
             config=config, opt=AdamState(), step=0, seed=seed,
             params={name: value.data for name, value in model.params.items()}),
