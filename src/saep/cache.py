@@ -46,6 +46,7 @@ def features_for_manifest(manifest: Manifest,
         if cache_path is not None and os.path.exists(cache_path):
             out[utt_id] = load_feature_cache(cache_path, utt_id)
             continue
+        wav_path = os.path.join(manifest.base_dir, wav_path)
         clip = load_audio(wav_path)
         try:
             feats = compute_features(clip, utterance_id=utt_id)

@@ -12,13 +12,24 @@ import os
 import sys
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected an integer of at least "
+                                         "1, got %r" % text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saep",
         description="Self-attention speaker embeddings: synthesize a toy "
                     "corpus, train, extract embeddings, score trials, and "
                     "compute EER.")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="BLAS thread count (default: library default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -101,7 +112,7 @@ def _cmd_train(args) -> int:
     from .config import build_configs
     from .manifest import load_manifest
     from .model import init_model
-    from .train import train
+    from .train import check_start_step, train
 
     manifest = load_manifest(args.manifest)
     sections = _load_run_config(args.config)
@@ -110,6 +121,7 @@ def _cmd_train(args) -> int:
         steps=args.steps, seed=args.seed)
     if args.resume is not None:
         ckpt = load_checkpoint(args.resume)
+        check_start_step(ckpt.step, train_config)
         if ckpt.config.n_speakers != manifest.n_speakers:
             raise ValueError(
                 "checkpoint %s has %d speakers but manifest %s has %d"
@@ -222,15 +234,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Pin BLAS threads before numpy is imported anywhere.
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv):
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                os.environ[var] = argv[idx + 1]
     args = _build_parser().parse_args(argv)
+    if args.threads is not None:  # BLAS reads these when numpy loads
+        os.environ.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            str(args.threads)))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .audio import AudioClip
 
@@ -82,6 +81,14 @@ def _hann() -> np.ndarray:
     return (0.5 - 0.5 * np.cos(2.0 * np.pi * n / WINDOW)).astype(np.float32)
 
 
+@lru_cache(maxsize=None)
+def _dct() -> np.ndarray:
+    """Orthonormal DCT-II basis for the kept cepstra, N_MELS x N_CEPS."""
+    i, k = np.ogrid[:N_MELS, :N_CEPS]
+    scale = np.where(k == 0, np.sqrt(1.0 / N_MELS), np.sqrt(2.0 / N_MELS))
+    return scale * np.cos(np.pi * k * (2 * i + 1) / (2 * N_MELS))
+
+
 def num_frames(n_samples: int) -> int:
     if n_samples < WINDOW:
         raise TooShortError("clip of %d samples is shorter than one %d-sample "
@@ -101,7 +108,7 @@ def mfcc(clip: AudioClip) -> np.ndarray:
     spec = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2
     mel = spec @ _mel_filterbank().T
     logmel = np.log(np.maximum(mel, LOG_FLOOR))
-    ceps = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :N_CEPS]
+    ceps = logmel.astype(np.float64) @ _dct()
     return ceps.astype(np.float32)
 
 

@@ -17,6 +17,7 @@ class ManifestError(ValueError):
 class Manifest:
     entries: List[Tuple[str, str, str]]  # (utterance_id, speaker, wav_path)
     label_map: Dict[str, int] = field(default_factory=dict)
+    base_dir: str = ""  # relative wav paths resolve against this
 
     def __post_init__(self):
         if not self.label_map:
@@ -60,7 +61,7 @@ def load_manifest(path) -> Manifest:
             entries.append((utt_id, speaker, wav_path))
     if not entries:
         raise ManifestError("%s: manifest is empty" % path)
-    return Manifest(entries=entries)
+    return Manifest(entries=entries, base_dir=os.path.dirname(path))
 
 
 def save_manifest(manifest: Manifest, path) -> None:

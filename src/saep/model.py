@@ -167,7 +167,7 @@ def _am_logits(features: Tensor, weight: Tensor, scale: float,
         n, c = cos.shape
         onehot = np.zeros((n, c), dtype=np.float32)
         onehot[np.arange(n), np.asarray(labels, dtype=np.int64)] = 1.0
-        cos = tz.sub(cos, Tensor(margin * onehot))
+        cos = tz.add(cos, Tensor(-margin * onehot))
     return tz.mul(cos, float(scale))
 
 

@@ -113,23 +113,24 @@ def synth_corpus(out_dir, n_speakers: int = 10, utts_per_speaker: int = 20,
             "nontarget pairs" % (n_pairs_per_class, n_speakers,
                                  utts_per_speaker, n_target, n_nontarget))
     rng = np.random.default_rng(seed)
-    wav_dir = os.path.join(out_dir, "wav")
-    os.makedirs(wav_dir, exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "wav"), exist_ok=True)
     triples = _draw_speakers(rng, n_speakers)
     entries = []
     for s, freqs in enumerate(triples):
         speaker = "spk%03d" % s
         for u in range(utts_per_speaker):
             utt_id = "%s_utt%03d" % (speaker, u)
-            wav_path = os.path.join(wav_dir, utt_id + ".wav")
-            write_wav(wav_path, _render_utterance(rng, freqs, duration),
-                      SAMPLE_RATE)
+            # Relative to the manifest, so the corpus directory can move.
+            wav_path = "wav/%s.wav" % utt_id
+            write_wav(os.path.join(out_dir, wav_path),
+                      _render_utterance(rng, freqs, duration), SAMPLE_RATE)
             entries.append((utt_id, speaker, wav_path))
-    manifest = Manifest(entries=entries)
-    trials = _build_trials(rng, manifest, n_pairs_per_class)
     manifest_path = os.path.join(out_dir, "manifest.txt")
     trials_path = os.path.join(out_dir, "trials.txt")
-    save_manifest(manifest, manifest_path)
+    save_manifest(Manifest(entries=entries), manifest_path)
+    manifest = Manifest(entries=[(u, s, os.path.join(out_dir, p))
+                                 for u, s, p in entries])
+    trials = _build_trials(rng, manifest, n_pairs_per_class)
     save_trials(trials, trials_path)
     return SynthCorpus(out_dir=str(out_dir), manifest_path=manifest_path,
                        trials_path=trials_path, manifest=manifest,

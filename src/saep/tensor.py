@@ -27,7 +27,6 @@ __all__ = [
     "DimensionError",
     "no_grad",
     "add",
-    "sub",
     "mul",
     "matmul",
     "linear",
@@ -41,7 +40,6 @@ __all__ = [
     "cross_entropy",
     "l2_normalize",
     "tsum",
-    "tmean",
 ]
 
 
@@ -199,19 +197,6 @@ def add(a, b) -> Tensor:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor._from_op(out, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
 
     return Tensor._from_op(out, (a, b), backward)
 
@@ -479,17 +464,5 @@ def tsum(a) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(np.full_like(a.data, _DTYPE(g)))
-
-    return Tensor._from_op(out, (a,), backward)
-
-
-def tmean(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-    out = _DTYPE(a.data.sum(dtype=np.float64) / n)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, _DTYPE(g) / _DTYPE(n)))
 
     return Tensor._from_op(out, (a,), backward)

@@ -20,7 +20,7 @@ from .optim import AdamState, adam_step
 from .tensor import NonFiniteError
 
 __all__ = ["TrainConfig", "TrainingDiverged", "make_batch", "train",
-           "chunk_accuracy"]
+           "check_start_step", "chunk_accuracy"]
 
 CHUNK_FRAMES = 300
 
@@ -70,6 +70,12 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng((seed, step))
 
 
+def check_start_step(start_step: int, config: TrainConfig) -> None:
+    if start_step > config.steps:
+        raise ValueError("cannot resume at step %d: the run ends at step %d"
+                         % (start_step, config.steps))
+
+
 def train(manifest: Manifest, features: Dict[str, FeatureSequence],
           model: SaepModel, config: TrainConfig,
           opt: Optional[AdamState] = None, start_step: int = 0,
@@ -79,9 +85,7 @@ def train(manifest: Manifest, features: Dict[str, FeatureSequence],
     """Run steps ``start_step+1 .. config.steps``; returns the final
     checkpoint and the (step, loss) trace."""
     config.validate()
-    if start_step > config.steps:
-        raise ValueError("cannot resume at step %d: the run ends at step %d"
-                         % (start_step, config.steps))
+    check_start_step(start_step, config)
     if opt is None:
         opt = AdamState(lr=config.lr, beta1=config.beta1,
                         beta2=config.beta2, eps=config.eps)

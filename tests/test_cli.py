@@ -82,6 +82,20 @@ class TestSynth:
         assert len(list((tmp_path / "c" / "wav").glob("*.wav"))) == 4
         assert "4 utterances" in capsys.readouterr().out
 
+    def test_moved_corpus_still_trains(self, tmp_path):
+        assert main(["synth", "--out-dir", str(tmp_path / "c"),
+                     "--n-speakers", "2", "--utts-per-speaker", "2",
+                     "--duration", "0.5", "--trial-pairs", "1"]) == 0
+        os.rename(tmp_path / "c", tmp_path / "moved")
+        manifest = tmp_path / "moved" / "manifest.txt"
+        assert str(tmp_path) not in manifest.read_text()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TRAIN_CONFIG)
+        assert main(["train", "--config", str(cfg), "--manifest",
+                     str(manifest), "--steps", "1",
+                     "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert load_checkpoint(tmp_path / "m.ckpt").step == 1
+
 
 class TestRunConfig:
     def test_parse_sections(self, tmp_path):
@@ -460,6 +474,18 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "r.ckpt").exists()
 
+    def test_resume_past_the_run_end_computes_no_features(
+            self, trained, tmp_path, mini_corpus):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        rc = main(["train", "--config", str(trained / "run.cfg"),
+                   "--manifest", mini_corpus.manifest_path, "--steps", "1",
+                   "--resume", str(trained / "model.ckpt"),
+                   "--feature-cache", str(cache),
+                   "--out", str(tmp_path / "r.ckpt")])
+        assert rc == 1
+        assert os.listdir(cache) == []
+
     @pytest.mark.parametrize("n_samples,rate,fragment", [
         (100, 16000, "clip of 100 samples is shorter than one 400-sample"),
         (16000, 8000, "expected 16000 Hz audio, got 8000 Hz"),
@@ -531,6 +557,19 @@ class TestErrors:
         assert "error: embeddings 'a' and 'b' must be vectors" in err
         assert "Traceback" not in err
 
+    def test_threads_equals_form_pins_blas(self, monkeypatch, capsys):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert main(["--threads=1", "count-params"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_zero_threads_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "0", "count-params"])
+        assert exc.value.code != 0
+        assert "--threads" in capsys.readouterr().err
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -570,7 +609,9 @@ class TestLayering:
         ("saep.verification, saep.records",
          ("saep.model", "saep.tensor", "scipy")),
         ("saep.cache", ("saep.model",)),
-    ], ids=["records_and_scoring", "feature_cache"])
+        ("saep.features, saep.cache, saep.train, saep.checkpoint, saep.cli",
+         ("scipy",)),
+    ], ids=["records_and_scoring", "feature_cache", "no_scipy"])
     def test_import_does_not_load(self, modules, below):
         loaded = subprocess.run(
             [sys.executable, "-c",

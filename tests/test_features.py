@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from saep import features
 from saep.audio import AudioClip, AudioFormatError, ChannelCountError, \
     load_audio, write_wav
 from saep.features import FeatureSequence, TooShortError, append_deltas, \
@@ -93,6 +94,30 @@ class TestMfcc:
         a = mfcc(tone(1000.0))
         b = mfcc(tone(2000.0))
         assert np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)) > 0.0
+
+    def test_silence_known_answer(self):
+        # Every log-mel energy sits at the floor, so only c0 is non-zero.
+        out = mfcc(AudioClip(np.zeros(1000, dtype=np.float32), 16000))
+        np.testing.assert_allclose(out[:, 0], np.log(1e-10) * np.sqrt(40.0),
+                                   rtol=1e-6)
+        np.testing.assert_allclose(out[:, 1:], 0.0, atol=1e-5)
+
+    def test_matches_scipy_orthonormal_dct(self):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(3)
+        clip = tone(440.0, duration=0.5)
+        x = clip.samples + rng.normal(0, 0.05, len(clip.samples)) \
+            .astype(np.float32)
+        starts = 160 * np.arange(num_frames(len(x)))
+        idx = starts[:, None] + np.arange(400)[None, :]
+        spec = np.abs(np.fft.rfft(x[idx] * features._hann(), n=512,
+                                  axis=1)) ** 2
+        logmel = np.log(np.maximum(spec @ features._mel_filterbank().T,
+                                   1e-10))
+        ref = scipy_fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :30]
+        out = mfcc(AudioClip(x, 16000))
+        worst = np.abs(out - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert worst.max() <= 1e-6
 
 
 class TestDeltas:

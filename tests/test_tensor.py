@@ -167,7 +167,6 @@ def test_primitive_gradients(seed):
         ("transpose", [x], lambda: tz.tsum(tz.mul(tz.transpose(x),
                                                   tz.transpose(Tensor(w.data))))),
         ("scale", [x], lambda: tz.tsum(tz.mul(x, 0.37))),
-        ("mean", [x], lambda: tz.tmean(x)),
         ("l2norm", [x], lambda: tz.tsum(tz.mul(tz.l2_normalize(x), w))),
     ]
     gain, bias = randt(rng, d), randt(rng, d)
@@ -277,12 +276,12 @@ def test_every_op_keeps_float64():
 
         x, w, b = leaf(2, 3, 4), leaf(4, 4), leaf(4)
         outs = [
-            tz.add(x, b), tz.sub(x, b), tz.mul(x, 0.5), tz.matmul(x, w),
+            tz.add(x, b), tz.mul(x, 0.5), tz.matmul(x, w),
             tz.linear(x, w, b), tz.attention(x, x, x), tz.transpose(x),
             tz.reshape(x, (6, 4)), tz.relu(x), tz.softmax_rows(x),
             tz.layer_norm(x, b, b),
             tz.dropout(x, 0.5, np.random.default_rng(0)),
-            tz.l2_normalize(x), tz.tsum(x), tz.tmean(x),
+            tz.l2_normalize(x), tz.tsum(x),
             tz.cross_entropy(tz.reshape(x, (6, 4)), [0, 1, 2, 3, 0, 1]),
         ]
         loss = tz.tsum(outs[0])
@@ -292,7 +291,3 @@ def test_every_op_keeps_float64():
         loss.backward()
         for t in (x, w, b):
             assert t.grad.dtype == np.float64
-        # Constants are float64 too: 1/3 is not rounded to float32.
-        m = leaf(3)
-        tz.tmean(m).backward()
-        np.testing.assert_array_equal(m.grad, np.full(3, 1.0 / 3.0))
