@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", required=True, help="trial list file")
     p.add_argument("--out", required=True, help="score file path")
 
-    p = sub.add_parser("eval", help="compute EER from a score file")
+    p = sub.add_parser("eval",
+                       help="compute EER and minDCF from a score file")
     p.add_argument("--scores", required=True)
 
     p = sub.add_parser("count-params", help="parameter count breakdown")
@@ -202,9 +203,10 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .verification import compute_eer, load_scores
-    eer, threshold = compute_eer(load_scores(args.scores))
-    print("EER=%.2f%% threshold=%.6f" % (100.0 * eer, threshold))
+    from .verification import evaluate, load_scores
+    eer, threshold, min_dcf = evaluate(load_scores(args.scores))
+    print("EER=%.2f%% threshold=%.6f minDCF=%.4f"
+          % (100.0 * eer, threshold, min_dcf))
     return 0
 
 

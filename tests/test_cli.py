@@ -196,7 +196,7 @@ class TestEvalGolden:
             "0.700000 0 g h\n0.100000 0 i j\n0.050000 0 k l\n")
         assert main(["eval", "--scores", str(path)]) == 0
         assert capsys.readouterr().out.strip() \
-            == "EER=33.33% threshold=0.700000"
+            == "EER=33.33% threshold=0.700000 minDCF=0.3333"
 
     def test_empty_score_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
@@ -427,6 +427,22 @@ class TestErrors:
         assert "error: %s: 29 bytes left over after the last of 9 records" \
             % archive in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_embedding(self, tmp_path, capsys):
+        archive = tmp_path / "embeddings.bin"
+        write_records(archive, {"a": np.ones(4, np.float32),
+                                "b": np.array([1, np.nan, 0, 0], np.float32)})
+        trials = tmp_path / "trials.txt"
+        trials.write_text("1 a a\n0 a b\n")
+        scores = tmp_path / "scores.txt"
+        rc = main(["score", "--embeddings", str(archive),
+                   "--trials", str(trials), "--out", str(scores)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: embedding 'b' is not finite" in err
+        assert "Traceback" not in err
+        assert not scores.exists()
 
     def test_synth_with_more_trials_than_pairs(self, tmp_path):
         # In a child process with a timeout: drawing distinct pairs that do

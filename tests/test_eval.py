@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from saep.model import SpeakerEmbedding
-from saep.verification import ScoredTrial, Trial, TrialListError, \
-    ZeroNormError, compute_eer, cosine_score, det_points, load_scores, \
-    load_trials, save_scores, save_trials, score_trials
+from saep.verification import NonFiniteError, ScoredTrial, Trial, \
+    TrialListError, ZeroNormError, compute_eer, cosine_score, det_points, \
+    evaluate, load_scores, load_trials, save_scores, save_trials, \
+    score_trials
 
 
 def emb(vec, utt_id="u"):
@@ -89,6 +90,120 @@ class TestScoreTrials:
         with pytest.raises(TrialListError, match="ghost"):
             score_trials([Trial(1, "a", "ghost")],
                          {"a": emb([1.0], "a")})
+
+
+def reference_scores(trials, embeddings):
+    """The per-trial float64 loop the kernel replaces, with the non-finite
+    check beside the zero-norm one: each trial checks both ids, then both
+    shapes, then each norm, enroll side first."""
+    out = []
+    for trial in trials:
+        for utt_id in (trial.enroll_id, trial.test_id):
+            if utt_id not in embeddings:
+                raise TrialListError("no embedding for utterance %r"
+                                     % utt_id)
+        a, b = embeddings[trial.enroll_id], embeddings[trial.test_id]
+        va = np.asarray(a.vector, dtype=np.float64)
+        vb = np.asarray(b.vector, dtype=np.float64)
+        if va.ndim != 1 or va.shape != vb.shape:
+            raise ValueError("embeddings %r and %r must be vectors of one "
+                             "width, got shapes %s and %s"
+                             % (a.utterance_id, b.utterance_id, va.shape,
+                                vb.shape))
+        norms = []
+        for e, v in ((a, va), (b, vb)):
+            norms.append(np.linalg.norm(v))
+            if norms[-1] == 0.0:
+                raise ZeroNormError("embedding %r has zero norm"
+                                    % e.utterance_id)
+            if not np.isfinite(norms[-1]):
+                raise NonFiniteError("embedding %r is not finite (its norm "
+                                     "is %s)" % (e.utterance_id, norms[-1]))
+        out.append(float(np.dot(va, vb) / (norms[0] * norms[1])))
+    return out
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the class and message of its ValueError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(trials, embeddings):
+    """Scores within 1e-12 of the reference and equal to it in ``%.6f``,
+    or the reference's error class and message."""
+    want = outcome(reference_scores, trials, embeddings)
+    got = outcome(score_trials, trials, embeddings)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    got = [s.score for s in got]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert ["%.6f" % g for g in got] == ["%.6f" % w for w in want]
+
+
+component = st.floats(-100.0, 100.0, width=32)
+ID_POOL = ["u%d" % i for i in range(6)]
+
+
+@st.composite
+def trial_lists(draw, widths=st.integers(1, 6)):
+    """Nonzero embeddings for a few ids, each id of one width drawn from
+    ``widths``, and trials that pair ids of equal width."""
+    width_of = {u: draw(widths) for u in ID_POOL}
+    embeddings = {u: emb(draw(st.lists(component, min_size=w, max_size=w)
+                              .filter(any)), u)
+                  for u, w in width_of.items()}
+    pairs = [(a, b) for a in ID_POOL for b in ID_POOL
+             if width_of[a] == width_of[b]]
+    trials = draw(st.lists(st.builds(lambda label, pair: Trial(label, *pair),
+                                     st.integers(0, 1),
+                                     st.sampled_from(pairs)), max_size=30))
+    return trials, embeddings
+
+
+FAULTS = {
+    "missing": None,
+    "zero_norm": np.zeros(3, np.float32),
+    "non_finite": np.array([1.0, np.nan, 2.0], np.float32),
+    "infinite": np.array([np.inf, 0.0, 1.0], np.float32),
+    "rank2": np.ones((1, 3), np.float32),
+    "width": np.ones(4, np.float32),
+}
+
+
+class TestScoreTrialsAgainstReference:
+    @given(lists=trial_lists(widths=st.just(3)))
+    def test_scores_equal_reference(self, lists):
+        assert_matches_reference(*lists)
+
+    @given(lists=trial_lists())
+    def test_mixed_widths_score(self, lists):
+        assert_matches_reference(*lists)
+
+    @given(lists=trial_lists(widths=st.just(3)),
+           faults=st.lists(st.tuples(st.sampled_from(sorted(FAULTS)),
+                                     st.integers(0, 29), st.booleans()),
+                           min_size=1, max_size=3))
+    def test_faults_raise_as_reference(self, lists, faults):
+        trials, embeddings = lists
+        trials = trials or [Trial(1, "u0", "u1")]
+        for kind, position, test_side in faults:
+            trial = trials[position % len(trials)]
+            utt_id = "%s_%d" % (kind, position)
+            if FAULTS[kind] is not None:
+                embeddings[utt_id] = emb(FAULTS[kind], utt_id)
+            if test_side:
+                trial.test_id = utt_id
+            else:
+                trial.enroll_id = utt_id
+        assert_matches_reference(trials, embeddings)
+
+    def test_empty_list_scores_nothing(self):
+        assert score_trials([], {"a": emb([1.0], "a")}) == []
 
 
 class TestDetPoints:
@@ -184,6 +299,26 @@ class TestProperties:
         assert all(b >= a for a, b in zip(frrs, frrs[1:]))
         assert (fars[0], frrs[0]) == (1.0, 0.0)
         assert (fars[-1], frrs[-1]) == (0.0, 1.0)
+
+
+class TestMinDcf:
+    def test_hand_case_is_one_third(self):
+        # At threshold 0.8 one of three targets is rejected and no
+        # nontarget accepted: (0.01 * 1/3 + 0.99 * 0) / 0.01 = 1/3.
+        eer, thr, min_dcf = evaluate(scored([0.9, 0.8, 0.2],
+                                            [0.7, 0.1, 0.05]))
+        assert (eer, thr) == compute_eer(scored([0.9, 0.8, 0.2],
+                                                [0.7, 0.1, 0.05]))
+        assert min_dcf == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    @given(targets=tied_scores, nontargets=tied_scores)
+    def test_equals_reference(self, targets, nontargets):
+        trials = scored(targets, nontargets)
+        want = min(0.01 * frr + 0.99 * far
+                   for _, far, frr in reference_det(trials)) / 0.01
+        min_dcf = evaluate(trials)[2]
+        assert min_dcf == pytest.approx(want, rel=1e-12)
+        assert 0.0 <= min_dcf <= 1.0
 
 
 class TestComputeEer:
