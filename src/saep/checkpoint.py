@@ -159,7 +159,12 @@ def load_checkpoint(path) -> Checkpoint:
 def model_from_checkpoint(ckpt: Checkpoint) -> SaepModel:
     """A model holding float32 copies of the checkpoint's parameters."""
     shapes = param_shapes(ckpt.config)
-    _check_params("checkpoint", shapes, ckpt.params)
+    # The copies are what is checked, so a wider value that overflows
+    # float32 is caught, and the tensors need not scan them again.
+    with np.errstate(over="ignore"):
+        params = {name: a.astype(np.float32)
+                  for name, a in ckpt.params.items()}
+    _check_params("checkpoint", shapes, params)
     return SaepModel(ckpt.config, ParameterSet(
-        (name, Tensor(ckpt.params[name].astype(np.float32),
-                      requires_grad=True)) for name in shapes))
+        (name, Tensor._checked(params[name], requires_grad=True))
+        for name in shapes))

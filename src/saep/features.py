@@ -102,9 +102,10 @@ def mfcc(clip: AudioClip) -> np.ndarray:
         raise ValueError("expected %d Hz audio, got %d Hz"
                          % (SAMPLE_RATE, clip.sample_rate))
     x = np.asarray(clip.samples, dtype=np.float32)
-    t = num_frames(len(x))
-    idx = np.arange(WINDOW)[None, :] + HOP * np.arange(t)[:, None]
-    frames = x[idx] * _hann()
+    num_frames(len(x))  # raises TooShortError
+    # The windows as a strided view, so no T x WINDOW index array is built.
+    windows = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
+    frames = windows * _hann()
     spec = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2
     mel = spec @ _mel_filterbank().T
     logmel = np.log(np.maximum(mel, LOG_FLOOR))

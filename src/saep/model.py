@@ -212,11 +212,9 @@ class SaepModel:
         attn = tz.attention(q, k, v, trace=trace)
         proj = tz.linear(attn, p[pre + "w_o"])
         proj = tz.dropout(proj, c.encoder_dropout, rng)
-        s1 = tz.layer_norm(tz.add(x, proj), p[pre + "ln1.gain"],
-                           p[pre + "ln1.bias"])
+        s1 = tz.layer_norm(proj, x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         ffn = tz.dropout(self.position_ffn(s1, block), c.encoder_dropout, rng)
-        return tz.layer_norm(tz.add(s1, ffn), p[pre + "ln2.gain"],
-                             p[pre + "ln2.bias"])
+        return tz.layer_norm(ffn, s1, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
 
     def encode(self, x: Tensor, rng: Optional[np.random.Generator] = None,
                trace: Optional[list] = None) -> Tensor:

@@ -2,15 +2,22 @@
 
 Every operation records its inputs and a backward closure on a per-call
 graph; calling ``backward()`` on a scalar result walks the graph in reverse
-topological order and accumulates gradients into the leaves. Graphs are
-built fresh on every forward pass and garbage-collected with their tensors.
+topological order and accumulates gradients into the leaves. An interior
+node's gradient is released as soon as its closure has consumed it, so
+after the sweep only leaves hold a ``grad``. Graphs are built fresh on
+every forward pass and garbage-collected with their tensors.
+
+Gradients are never written in place: no op writes into the ``g`` its
+closure receives, and ``_accumulate`` adds into a new array. This is
+load-bearing, because one gradient buffer can be shared by several nodes
+(``layer_norm`` hands the same array to ``x`` and to ``residual``, and
+``reshape`` hands on a view).
 
 Operations act on the trailing one or two axes and broadcast over any
 leading batch axes, so the same primitives serve both single sequences
-(T x d) and batches (B x T x d). The model projects with ``linear`` and
-attends with ``attention``; ``matmul``, ``transpose`` and
-``softmax_rows`` remain as the pieces tests compose reference attention
-from.
+(T x d) and batches (B x T x d). The model projects with ``linear``,
+attends with ``attention`` and closes each residual connection with
+``layer_norm(x, residual, gain, bias)``.
 """
 
 from __future__ import annotations
@@ -28,13 +35,10 @@ __all__ = [
     "no_grad",
     "add",
     "mul",
-    "matmul",
     "linear",
     "attention",
-    "transpose",
     "reshape",
     "relu",
-    "softmax_rows",
     "layer_norm",
     "dropout",
     "cross_entropy",
@@ -53,6 +57,9 @@ class DimensionError(ValueError):
 
 _grad_enabled = True
 _DTYPE = np.float32
+# Query rows per block of no-grad attention: its working set is this many
+# rows of weights over all keys, not the whole (T, S) matrix.
+_QUERY_ROWS = 256
 
 
 @contextlib.contextmanager
@@ -101,18 +108,26 @@ class Tensor:
         self._backward: Optional[Callable[[np.ndarray], None]] = None
 
     @classmethod
+    def _checked(cls, data: np.ndarray,
+                 requires_grad: bool = False) -> "Tensor":
+        """A tensor over ``data``, which the caller has already checked to
+        be finite and of the storage dtype; it is not scanned again."""
+        out = cls.__new__(cls)
+        out.data = data
+        out.grad = None
+        out.requires_grad = requires_grad
+        out._parents = ()
+        out._backward = None
+        return out
+
+    @classmethod
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
                  backward: Callable[[np.ndarray], None]) -> "Tensor":
         # Interior nodes skip the finiteness scan: non-finite values can
         # only enter through leaves, and they propagate to the scalar loss,
         # which callers check. Re-scanning every intermediate would double
         # the cost of a training step.
-        out = cls.__new__(cls)
-        out.data = data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+        out = cls._checked(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -135,7 +150,7 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         # Gradients are never mutated in place, so sharing a buffer with a
-        # child's gradient (e.g. through transpose views) is safe.
+        # child's gradient (e.g. through reshape views) is safe.
         g = np.asarray(g, dtype=_DTYPE)
         self.grad = g if self.grad is None else self.grad + g
 
@@ -164,6 +179,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # Every consumer ran earlier in the sweep, so this gradient
+                # is complete and spent; only leaves keep theirs.
+                node.grad = None
 
     def __mul__(self, other):
         return mul(self, other)
@@ -214,27 +232,6 @@ def mul(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul needs rank >= 2 operands, got %s and %s"
-                             % (a.shape, b.shape))
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError("matmul inner extents disagree: %s x %s"
-                             % (a.shape, b.shape))
-    out = np.matmul(a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return Tensor._from_op(out, (a, b), backward)
-
-
 def linear(x, w, b=None) -> Tensor:
     """``x @ w (+ b)`` over the trailing axis of ``x``, with any leading
     axes flattened into the rows of one 2-D GEMM in both passes."""
@@ -272,9 +269,15 @@ def attention(q, k, v, trace: Optional[list] = None,
     ``k`` is (..., S, d_k) and ``v`` (..., S, d_v) with the same leading
     axes. ``q`` is (..., T, d_k) with those leading axes too, or a 2-D
     (T, d_k) query shared by every leading index, whose gradient is then
-    summed over them. ``scale`` defaults to 1/√d_k. Only the attention
-    weights are kept for the backward pass; a copy of them is appended to
-    ``trace`` when given.
+    summed over them. ``scale`` defaults to 1/√d_k.
+
+    The forward pass runs one leading entry at a time, so each (T, S) slab
+    of weights stays in cache; the backward pass is batched over all
+    entries. When a graph is recorded, the weights are the only thing kept
+    for the backward pass. Otherwise each entry is also split into blocks
+    of ``_QUERY_ROWS`` query rows, since a softmax row depends on its own
+    query alone, and no (T, S) matrix is built unless ``trace`` is given:
+    the full weights are appended to it.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim < 2 or k.ndim < 2 or k.ndim != v.ndim
@@ -283,13 +286,37 @@ def attention(q, k, v, trace: Optional[list] = None,
         raise DimensionError("attention shapes disagree: q %s, k %s, v %s"
                              % (q.shape, k.shape, v.shape))
     scale = _DTYPE(1.0 / math.sqrt(q.shape[-1]) if scale is None else scale)
-    w = np.matmul(q.data * scale, k.data.swapaxes(-1, -2))
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    lead, (t, d_k), (s, d_v) = k.shape[:-2], q.shape[-2:], v.shape[-2:]
+    k3, v3 = k.data.reshape(-1, s, d_k), v.data.reshape(-1, s, d_v)
+    n = k3.shape[0]
+    # A shared 2-D query is broadcast to every entry without a copy.
+    qs = np.broadcast_to((q.data * scale).reshape(-1, t, d_k), (n, t, d_k))
+    record = _grad_enabled and (q.requires_grad or k.requires_grad
+                                or v.requires_grad)
+    rows = t if record else _QUERY_ROWS
+    # The blocks of an entry differ in size by at most one row, so there is
+    # never a remainder of a row or two: BLAS computes such a sliver with
+    # other kernels than a full block, which round differently.
+    count = -(-t // max(rows, 1))
+    w = (np.empty((n, t, s), dtype=_DTYPE)
+         if record or trace is not None else None)
+    # Without kept weights, every block reuses this one buffer.
+    block = np.empty((min(rows, t), s), dtype=_DTYPE) if w is None else None
+    out = np.empty((n, t, d_v), dtype=_DTYPE)
+    for i in range(n):
+        for j in range(count):
+            r = slice(j * t // count, (j + 1) * t // count)
+            wb = block[:r.stop - r.start] if w is None else w[i, r]
+            np.matmul(qs[i, r], k3[i].T, out=wb)
+            wb -= wb.max(axis=-1, keepdims=True)
+            np.exp(wb, out=wb)
+            wb /= wb.sum(axis=-1, keepdims=True)
+            np.matmul(wb, v3[i], out=out[i, r])
+    out = out.reshape(lead + (t, d_v))
+    if w is not None:
+        w = w.reshape(lead + (t, s))
     if trace is not None:
-        trace.append(w.copy())
-    out = np.matmul(w, v.data)
+        trace.append(w.copy() if record else w)
 
     def backward(g):
         if v.requires_grad:
@@ -307,20 +334,6 @@ def attention(q, k, v, trace: Optional[list] = None,
                 k._accumulate(np.matmul(ds.swapaxes(-1, -2), q.data) * scale)
 
     return Tensor._from_op(out, (q, k, v), backward)
-
-
-def transpose(a) -> Tensor:
-    """Swap the trailing two axes."""
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise DimensionError("transpose needs rank >= 2, got %s" % (a.shape,))
-    out = a.data.swapaxes(-1, -2)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.swapaxes(-1, -2))
-
-    return Tensor._from_op(out, (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -345,30 +358,23 @@ def relu(a) -> Tensor:
     return Tensor._from_op(out, (a,), backward)
 
 
-def softmax_rows(a) -> Tensor:
-    """Softmax over the last axis, stabilized by subtracting the row max."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            a._accumulate(y * (g - inner))
-
-    return Tensor._from_op(y, (a,), backward)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize each trailing-axis row to zero mean / unit variance
-    (population variance), then apply the learned affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+def layer_norm(x, residual, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize each trailing-axis row of ``x + residual`` to zero mean /
+    unit variance (population variance), then apply the learned affine.
+    The sum is a temporary that the graph does not keep; the backward pass
+    hands one input gradient to both ``x`` and ``residual``."""
+    x, residual = _as_tensor(x), _as_tensor(residual)
+    gain, bias = _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError("layer_norm affine width %s does not match %s"
                              % (gain.shape, x.shape))
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    if residual.shape != x.shape:
+        raise DimensionError("layer_norm residual %s does not match %s"
+                             % (residual.shape, x.shape))
+    total = x.data + residual.data
+    xhat = total - total.mean(axis=-1, keepdims=True)
+    del total
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -376,25 +382,29 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     out += bias.data
 
     def backward(g):
-        if x.requires_grad:
+        if x.requires_grad or residual.requires_grad:
             gh = g * gain.data
             m1 = gh.mean(axis=-1, keepdims=True)
             m2 = np.einsum("...i,...i->...", gh, xhat)[..., None] / d
             gh -= m1
             gh -= xhat * m2
             gh *= inv
-            x._accumulate(gh)
+            for t in (x, residual):
+                if t.requires_grad:
+                    t._accumulate(gh)
         g2 = g.reshape(-1, d)
         if gain.requires_grad:
             gain._accumulate(np.einsum("ij,ij->j", g2, xhat.reshape(-1, d)))
         if bias.requires_grad:
             bias._accumulate(g2.sum(axis=0))
 
-    return Tensor._from_op(out, (x, gain, bias), backward)
+    return Tensor._from_op(out, (x, residual, gain, bias), backward)
 
 
 def dropout(x, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout with its mask drawn from ``rng``; identity if None."""
+    """Inverted dropout with its mask drawn from ``rng``; identity if None.
+    The graph keeps the mask as bools and rescales in the same multiply
+    order in both passes."""
     x = _as_tensor(x)
     if rng is None or rate == 0.0:
         return x
@@ -403,13 +413,17 @@ def dropout(x, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
     # Compare in float32 so a rate that round-trips through float32
     # storage (e.g. in a checkpoint) yields bit-identical masks.
     rate32 = np.float32(rate)
-    mask = (rng.random(x.shape, dtype=np.float32) >= rate32)
-    mask = mask.astype(_DTYPE) / (_DTYPE(1.0) - rate32)
-    out = x.data * mask
+    keep = rng.random(x.shape, dtype=np.float32) >= rate32
+    scale = _DTYPE(1.0) / (_DTYPE(1.0) - rate32)
+    # Zeroing before scaling gives each element exactly x * {0, scale}.
+    out = x.data * keep
+    out *= scale
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * mask)
+            gx = g * keep
+            gx *= scale
+            x._accumulate(gx)
 
     return Tensor._from_op(out, (x,), backward)
 

@@ -1,0 +1,65 @@
+"""Reference ops for tests: ``matmul``, ``transpose`` and ``softmax_rows``
+as separate graph nodes, and attention composed from them. The model uses
+the fused ``tz.attention``; these are the slow, obvious compositions that
+tests check it against."""
+
+import numpy as np
+
+from saep import tensor as tz
+from saep.tensor import DimensionError, Tensor, _as_tensor, _unbroadcast
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError("matmul needs rank >= 2 operands, got %s and %s"
+                             % (a.shape, b.shape))
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError("matmul inner extents disagree: %s x %s"
+                             % (a.shape, b.shape))
+    out = np.matmul(a.data, b.data)
+
+    def backward(g):
+        if a.requires_grad:
+            ga = np.matmul(g, b.data.swapaxes(-1, -2))
+            a._accumulate(_unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = np.matmul(a.data.swapaxes(-1, -2), g)
+            b._accumulate(_unbroadcast(gb, b.data.shape))
+
+    return Tensor._from_op(out, (a, b), backward)
+
+
+def transpose(a) -> Tensor:
+    """Swap the trailing two axes."""
+    a = _as_tensor(a)
+    if a.ndim < 2:
+        raise DimensionError("transpose needs rank >= 2, got %s" % (a.shape,))
+    out = a.data.swapaxes(-1, -2)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.swapaxes(-1, -2))
+
+    return Tensor._from_op(out, (a,), backward)
+
+
+def softmax_rows(a) -> Tensor:
+    """Softmax over the last axis, stabilized by subtracting the row max."""
+    a = _as_tensor(a)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        if a.requires_grad:
+            inner = (g * y).sum(axis=-1, keepdims=True)
+            a._accumulate(y * (g - inner))
+
+    return Tensor._from_op(y, (a,), backward)
+
+
+def composed_attention(q, k, v):
+    """Attention as separate graph nodes: the reference for the fused op."""
+    scores = tz.mul(matmul(q, transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
+    return matmul(softmax_rows(scores), v)

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,6 +13,9 @@ from saep.gradcheck import gradient_check
 from saep.model import ConfigError, ModelConfig, am_softmax_loss, \
     init_model, LOSS_AM_SOFTMAX
 from saep.tensor import Tensor
+
+import reference_ops as ref
+from test_cli import child_env
 
 
 def tiny_config(**overrides):
@@ -216,8 +222,8 @@ class TestAttentionPool:
 
         def composed(h):
             hb = tz.reshape(h, (-1,) + shape[-2:])
-            scores = tz.transpose(tz.linear(hb, w_c))  # B x 1 x T
-            pooled = tz.matmul(tz.softmax_rows(scores), hb)
+            scores = ref.transpose(tz.linear(hb, w_c))  # B x 1 x T
+            pooled = ref.matmul(ref.softmax_rows(scores), hb)
             return tz.reshape(pooled, shape[:-2] + (6,))
 
         results = []
@@ -336,6 +342,29 @@ class TestForwardLoss:
             labels=model.params.names())
         assert rep.passed, str(rep)
 
+    @pytest.mark.parametrize("loss_name", ["softmax", "am_softmax"])
+    def test_backward_leaves_gradients_on_parameters_only(self, loss_name):
+        model = init_model(tiny_config(loss=loss_name, encoder_dropout=0.1,
+                                       head_dropout=0.2), seed=3)
+        rng = np.random.default_rng(22)
+        batch = rng.standard_normal((3, 8, 6)).astype(np.float32)
+        loss = model.forward_loss(batch, [0, 2, 1], train=True, rng=rng)
+        loss.backward()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        interior = [n for n in nodes.values() if n._backward is not None]
+        leaves = [n for n in nodes.values() if n.requires_grad
+                  and n._backward is None]
+        assert len(interior) > 20
+        assert all(n.grad is None for n in interior)
+        params = list(model.params.values())
+        assert {id(n) for n in leaves} == {id(p) for p in params}
+        assert all(p.grad is not None for p in params)
+
 
 class TestExtractEmbedding:
     def seq(self, t=25, seed=20):
@@ -369,6 +398,80 @@ class TestExtractEmbedding:
         with pytest.raises(ValueError):
             model.extract_embedding(
                 FeatureSequence(np.zeros((0, 90), dtype=np.float32), "e"))
+
+
+class TestQueryBlocks:
+    """Without a graph, attention walks blocks of ``tz._QUERY_ROWS`` query
+    rows instead of building each (T, T) weight matrix whole."""
+
+    @pytest.fixture(scope="class")
+    def toy_model(self):
+        return init_model(ModelConfig(n_speakers=4, d_k=32, d_v=32, d_ff=128),
+                          seed=3)
+
+    # Blocks of tens of rows: BLAS runs blocks of a few rows through other
+    # kernels, which round differently, and the program never makes them.
+    @pytest.mark.parametrize("frames, rows", [
+        (50, 32), (300, 32), (2000, 32),
+        (257, None), (2000, None)])  # None: the program's own block size
+    def test_embeddings_match_unblocked(self, toy_model, monkeypatch, frames,
+                                        rows):
+        feats = FeatureSequence(np.random.default_rng(frames).standard_normal(
+            (frames, 90)).astype(np.float32), "u")
+        monkeypatch.setattr(tz, "_QUERY_ROWS", frames)
+        whole = toy_model.extract_embedding(feats).vector
+        monkeypatch.undo()
+        if rows is not None:
+            monkeypatch.setattr(tz, "_QUERY_ROWS", rows)
+        blocked = toy_model.extract_embedding(feats).vector
+        assert blocked.tobytes() == whole.tobytes()
+
+    def test_trace_assembles_the_full_weights(self, toy_model, monkeypatch):
+        x = Tensor(np.random.default_rng(4).standard_normal((70, 90))
+                   .astype(np.float32))
+        traces = []
+        for rows in (70, 32):
+            monkeypatch.setattr(tz, "_QUERY_ROWS", rows)
+            traces.append([])
+            with tz.no_grad():
+                toy_model.encode(x, trace=traces[-1])
+        for whole, blocked in zip(*traces):
+            assert blocked.shape == (70, 70)
+            assert blocked.tobytes() == whole.tobytes()
+
+    def test_30000_frames_extract_in_bounded_memory(self):
+        """A 30,000-frame sequence (5 minutes at 100 frames/s) extracts with
+        a peak RSS under 250 MB, where one whole (T, T) float32 weight
+        matrix alone would take 3.6 GB."""
+        code = textwrap.dedent("""
+            import resource
+            # Fail with MemoryError, rather than take the memory, if the
+            # whole (T, T) weights come back.
+            resource.setrlimit(resource.RLIMIT_DATA, (1 << 30, 1 << 30))
+            import numpy as np
+            from saep.features import FeatureSequence
+            from saep.model import ModelConfig, init_model
+            model = init_model(ModelConfig(n_speakers=4, d_k=32, d_v=32,
+                                           d_ff=128), seed=0)
+            frames = np.random.default_rng(0).standard_normal((30000, 90))
+            feats = FeatureSequence(frames.astype(np.float32), "long")
+            vector = model.extract_embedding(feats).vector
+            assert vector.shape == (400,) and np.isfinite(vector).all()
+            # The peak RSS of this program alone: ru_maxrss would also count
+            # the pages of the test process that forked it.
+            with open("/proc/self/status") as fh:
+                print([line.split()[1] for line in fh
+                       if line.startswith("VmHWM:")][0])
+        """)
+        # One BLAS thread: RLIMIT_DATA and VmHWM also count the buffer that
+        # OpenBLAS reserves per thread, which grows with the host's cores.
+        env = dict(child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout.split()[-1]) / 1024  # VmHWM is in kB
+        assert peak_mb < 250, peak_mb
 
 
 class TestCountParams:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from saep import tensor as tz
 from saep.gradcheck import gradient_check
 from saep.tensor import DimensionError, NonFiniteError, Tensor
+
+import reference_ops as ref
 
 
 def randt(rng, *shape):
@@ -13,23 +16,34 @@ def randt(rng, *shape):
                   requires_grad=True)
 
 
+def assert_bits_equal(actual, expected):
+    """Same dtype, shape and bytes: stricter than ==, which equates -0.0
+    with 0.0."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
 class TestMatmul:
     def test_identity(self):
-        out = tz.matmul(Tensor([[1, 0], [0, 1]]), Tensor([[3], [4]]))
+        out = ref.matmul(Tensor([[1, 0], [0, 1]]), Tensor([[3], [4]]))
         np.testing.assert_array_equal(out.data, [[3], [4]])
 
     def test_hand_expansion(self):
-        out = tz.matmul(Tensor([[1, 2]]), Tensor([[3], [4]]))
+        out = ref.matmul(Tensor([[1, 2]]), Tensor([[3], [4]]))
         np.testing.assert_array_equal(out.data, [[11]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            tz.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            ref.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
         a, b = randt(rng, 3, 4), randt(rng, 4, 2)
-        rep = gradient_check(lambda: tz.tsum(tz.matmul(a, b)), [a, b],
+        rep = gradient_check(lambda: tz.tsum(ref.matmul(a, b)), [a, b],
                              tol=1e-3)
         assert rep.passed, str(rep)
 
@@ -37,7 +51,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = randt(rng, 5, 3, 4)
         b = randt(rng, 4, 2)
-        out = tz.matmul(a, b)
+        out = ref.matmul(a, b)
         for i in range(5):
             np.testing.assert_allclose(out.data[i], a.data[i] @ b.data,
                                        rtol=1e-6)
@@ -45,25 +59,25 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform_by_symmetry(self):
-        out = tz.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
+        out = ref.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3] * 3], rtol=1e-6)
 
     def test_no_overflow_on_large_inputs(self):
-        out = tz.softmax_rows(Tensor([[1000.0, 1000.0]]))
+        out = ref.softmax_rows(Tensor([[1000.0, 1000.0]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], rtol=1e-6)
 
     def test_scalar_oracle(self):
         # Independent scalar evaluation of e^{x_i - max} / sum.
         exps = [math.exp(x - 3.0) for x in (1.0, 2.0, 3.0)]
         expected = [e / sum(exps) for e in exps]
-        out = tz.softmax_rows(Tensor([[1.0, 2.0, 3.0]]))
+        out = ref.softmax_rows(Tensor([[1.0, 2.0, 3.0]]))
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-6)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((4, 6)).astype(np.float32) * 10.0
-        out = tz.softmax_rows(Tensor(x)).data
+        out = ref.softmax_rows(Tensor(x)).data
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -71,20 +85,21 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_row_collapses_to_bias(self):
         out = tz.layer_norm(Tensor([[5.0, 5.0, 5.0]]),
+                            Tensor([[0.0, 0.0, 0.0]]),
                             Tensor([1.0, 1.0, 1.0]),
                             Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-3)
 
     def test_two_point_symmetry(self):
-        out = tz.layer_norm(Tensor([[1.0, 3.0]]), Tensor([1.0, 1.0]),
-                            Tensor([0.0, 0.0]), eps=0.0)
+        out = tz.layer_norm(Tensor([[1.0, 3.0]]), Tensor([[0.0, 0.0]]),
+                            Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), eps=0.0)
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], rtol=1e-5)
 
     def test_row_statistics(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 8)).astype(np.float32) * 3.0
-        out = tz.layer_norm(Tensor(x), Tensor(np.ones(8)),
-                            Tensor(np.zeros(8))).data
+        out = tz.layer_norm(Tensor(x), Tensor(np.zeros_like(x)),
+                            Tensor(np.ones(8)), Tensor(np.zeros(8))).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
 
@@ -160,18 +175,24 @@ def test_primitive_gradients(seed):
     randb = randt(rng, d)
 
     checks = [
-        ("matmul", [x], lambda: tz.tsum(tz.matmul(x, w2))),
+        ("matmul", [x], lambda: tz.tsum(ref.matmul(x, w2))),
         ("add_bias", [x, randb], lambda: tz.tsum(tz.mul(tz.add(x, randb), w))),
         ("relu", [x], lambda: tz.tsum(tz.mul(tz.relu(x), w))),
-        ("softmax", [x], lambda: tz.tsum(tz.mul(tz.softmax_rows(x), w))),
-        ("transpose", [x], lambda: tz.tsum(tz.mul(tz.transpose(x),
-                                                  tz.transpose(Tensor(w.data))))),
+        ("softmax", [x], lambda: tz.tsum(tz.mul(ref.softmax_rows(x), w))),
+        ("transpose", [x], lambda: tz.tsum(tz.mul(
+            ref.transpose(x), ref.transpose(Tensor(w.data))))),
         ("scale", [x], lambda: tz.tsum(tz.mul(x, 0.37))),
         ("l2norm", [x], lambda: tz.tsum(tz.mul(tz.l2_normalize(x), w))),
     ]
     gain, bias = randt(rng, d), randt(rng, d)
+    zero = Tensor(np.zeros((rows, d), dtype=np.float32))
     checks.append(("layer_norm", [x, gain, bias],
-                   lambda: tz.tsum(tz.mul(tz.layer_norm(x, gain, bias), w))))
+                   lambda: tz.tsum(tz.mul(
+                       tz.layer_norm(x, zero, gain, bias), w))))
+    res = randt(rng, rows, d)
+    checks.append(("layer_norm_residual", [x, gain, bias, res],
+                   lambda: tz.tsum(tz.mul(
+                       tz.layer_norm(x, res, gain, bias), w))))
     labels_v = rng.integers(0, d, size=rows)
     checks.append(("cross_entropy", [x],
                    lambda: tz.cross_entropy(x, labels_v)))
@@ -219,19 +240,13 @@ def test_backward_requires_scalar():
         tz.add(x, x).backward()
 
 
-def composed_attention(q, k, v):
-    """Attention as separate graph nodes: the reference for the fused op."""
-    scores = tz.mul(tz.matmul(q, tz.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
-    return tz.matmul(tz.softmax_rows(scores), v)
-
-
 class TestFusedAttention:
     def test_matches_composition(self):
         rng = np.random.default_rng(6)
         ins = [randt(rng, 3, 7, 4), randt(rng, 3, 9, 4), randt(rng, 3, 9, 5)]
         g = rng.standard_normal((3, 7, 5)).astype(np.float32)
         results = []
-        for op in (tz.attention, composed_attention):
+        for op in (tz.attention, ref.composed_attention):
             for t in ins:
                 t.zero_grad()
             out = op(*ins)
@@ -276,10 +291,10 @@ def test_every_op_keeps_float64():
 
         x, w, b = leaf(2, 3, 4), leaf(4, 4), leaf(4)
         outs = [
-            tz.add(x, b), tz.mul(x, 0.5), tz.matmul(x, w),
-            tz.linear(x, w, b), tz.attention(x, x, x), tz.transpose(x),
-            tz.reshape(x, (6, 4)), tz.relu(x), tz.softmax_rows(x),
-            tz.layer_norm(x, b, b),
+            tz.add(x, b), tz.mul(x, 0.5), ref.matmul(x, w),
+            tz.linear(x, w, b), tz.attention(x, x, x), ref.transpose(x),
+            tz.reshape(x, (6, 4)), tz.relu(x), ref.softmax_rows(x),
+            tz.layer_norm(x, x, b, b),
             tz.dropout(x, 0.5, np.random.default_rng(0)),
             tz.l2_normalize(x), tz.tsum(x),
             tz.cross_entropy(tz.reshape(x, (6, 4)), [0, 1, 2, 3, 0, 1]),
@@ -291,3 +306,151 @@ def test_every_op_keeps_float64():
         loss.backward()
         for t in (x, w, b):
             assert t.grad.dtype == np.float64
+
+
+def batched_attention(q, k, v, g, scale):
+    """Attention, its weights and the gradients of q, k and v for the
+    output gradient ``g``, each from one numpy call over every leading
+    entry at once: the reference for the per-entry loop."""
+    w = np.matmul(q * scale, k.swapaxes(-1, -2))
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = np.matmul(w, v)
+    gv = np.matmul(w.swapaxes(-1, -2), g)
+    ds = np.matmul(g, v.swapaxes(-1, -2))
+    ds -= np.einsum("...i,...i->...", g, out)[..., None]
+    ds *= w
+    gq = np.matmul(ds, k) * scale
+    if q.ndim == 2:  # a shared query sums its gradient over the entries
+        gq = gq.sum(axis=tuple(range(gq.ndim - 2)))
+    gk = np.matmul(ds.swapaxes(-1, -2), q) * scale
+    return out, w, gq, gk, gv
+
+
+attention_shapes = dict(
+    lead=st.lists(st.integers(1, 12), max_size=2).map(tuple),
+    t=st.integers(1, 5), s=st.integers(1, 5), d_k=st.integers(1, 4),
+    d_v=st.integers(1, 4), shared=st.booleans(), unit_scale=st.booleans(),
+    seed=seeds)
+
+
+class TestPerEntryAttention:
+    @settings(max_examples=60)
+    @given(**attention_shapes)
+    # Summing a shared query's gradient over more than 8 entries is where
+    # numpy's reduction order depends on the memory layout.
+    @example(lead=(12,), t=1, s=4, d_k=3, d_v=2, shared=True,
+             unit_scale=True, seed=0)
+    def test_matches_batched_reference(self, lead, t, s, d_k, d_v, shared,
+                                       unit_scale, seed):
+        """Values, weights and all three gradients equal the batched
+        formulas bit for bit, with per-entry and shared 2-D queries."""
+        rng = np.random.default_rng(seed)
+        q = randt(rng, *(() if shared else lead), t, d_k)
+        k, v = randt(rng, *lead, s, d_k), randt(rng, *lead, s, d_v)
+        g = rng.standard_normal(lead + (t, d_v)).astype(np.float32)
+        scale = 1.0 if unit_scale else None
+        trace = []
+        out = tz.attention(q, k, v, trace=trace, scale=scale)
+        tz.tsum(tz.mul(out, Tensor(g))).backward()
+        want = batched_attention(
+            q.data, k.data, v.data, g,
+            np.float32(1.0 if unit_scale else 1.0 / math.sqrt(d_k)))
+        for got, expected in zip((out.data, trace[0], q.grad, k.grad, v.grad),
+                                 want):
+            assert_bits_equal(got, expected)
+
+    @settings(max_examples=40)
+    @given(rows=st.integers(1, 3), **attention_shapes)
+    def test_query_blocks_without_a_graph(self, rows, lead, t, s, d_k, d_v,
+                                          shared, unit_scale, seed):
+        """Without a graph the rows run in blocks; the output and the
+        traced weights agree with the batched formulas, and a call without
+        a trace gives the same output."""
+        rng = np.random.default_rng(seed)
+        q = randt(rng, *(() if shared else lead), t, d_k)
+        k, v = randt(rng, *lead, s, d_k), randt(rng, *lead, s, d_v)
+        scale = 1.0 if unit_scale else None
+        trace = []
+        with pytest.MonkeyPatch.context() as patch, tz.no_grad():
+            patch.setattr(tz, "_QUERY_ROWS", rows)
+            out = tz.attention(q, k, v, trace=trace, scale=scale)
+            untraced = tz.attention(q, k, v, scale=scale)
+        want_out, want_w, *_ = batched_attention(
+            q.data, k.data, v.data, np.zeros(lead + (t, d_v), np.float32),
+            np.float32(1.0 if unit_scale else 1.0 / math.sqrt(d_k)))
+        # Blocks of a row or two may take other BLAS kernels.
+        np.testing.assert_allclose(out.data, want_out, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(trace[0], want_w, rtol=1e-5, atol=1e-6)
+        assert_bits_equal(untraced.data, out.data)
+        assert untraced._backward is None
+
+
+class TestResidualLayerNorm:
+    @settings(max_examples=60)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3)
+           .map(tuple), seed=seeds)
+    def test_equals_layer_norm_of_the_sum(self, shape, seed):
+        """``layer_norm(x, r, g, b)`` is ``layer_norm(add(x, r), 0, g, b)``
+        bit for bit, in value and in all four gradients."""
+        rng = np.random.default_rng(seed)
+        x, r = randt(rng, *shape), randt(rng, *shape)
+        gain, bias = randt(rng, shape[-1]), randt(rng, shape[-1])
+        g = Tensor(rng.standard_normal(shape).astype(np.float32))
+        results = []
+        for fused in (True, False):
+            for t in (x, r, gain, bias):
+                t.zero_grad()
+            zero = Tensor(np.zeros(shape, dtype=np.float32))
+            out = (tz.layer_norm(x, r, gain, bias) if fused
+                   else tz.layer_norm(tz.add(x, r), zero, gain, bias))
+            tz.tsum(tz.mul(out, g)).backward()
+            results.append([out.data] + [t.grad for t in (x, r, gain, bias)])
+        for fused, composed in zip(*results):
+            assert_bits_equal(fused, composed)
+
+    def test_residual_shape_must_match(self):
+        with pytest.raises(DimensionError, match=r"residual \(2, 3\)"):
+            tz.layer_norm(Tensor(np.zeros((3, 3))), Tensor(np.zeros((2, 3))),
+                          Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+
+class TestBoolDropout:
+    @settings(max_examples=60)
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3)
+           .map(tuple), rate=st.floats(0.0, 0.95, exclude_min=True),
+           seed=seeds)
+    def test_matches_float_mask_formula(self, shape, rate, seed):
+        """Output, gradient and the RNG state afterwards equal those of a
+        float32 mask holding 0 or 1/(1 - rate), down to the sign of
+        zero."""
+        data = np.random.default_rng(seed)
+        x = Tensor((data.standard_normal(shape) * 10).astype(np.float32),
+                   requires_grad=True)
+        x.data.reshape(-1)[::3] = -0.0
+        g = (data.standard_normal(shape)).astype(np.float32)
+        g.reshape(-1)[1::4] = -0.0
+        rng = np.random.default_rng(seed + 1)
+        out = tz.dropout(x, rate, rng)
+        tz.tsum(tz.mul(out, Tensor(g))).backward()
+
+        ref_rng = np.random.default_rng(seed + 1)
+        rate32 = np.float32(rate)
+        mask = ((ref_rng.random(shape, dtype=np.float32) >= rate32)
+                .astype(np.float32) / (np.float32(1.0) - rate32))
+        assert_bits_equal(out.data, x.data * mask)
+        assert_bits_equal(x.grad, g * mask)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_backward_releases_interior_gradients():
+    """Once the sweep has used an interior node's gradient it is dropped;
+    leaves keep theirs."""
+    rng = np.random.default_rng(10)
+    a, b = randt(rng, 3, 4), randt(rng, 4)
+    h = tz.relu(tz.add(a, b))
+    loss = tz.tsum(tz.mul(h, h))
+    loss.backward()
+    assert loss.grad is None and h.grad is None
+    assert a.grad is not None and b.grad is not None

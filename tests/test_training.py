@@ -269,6 +269,27 @@ class TestCheckpointRoundtrip:
         with pytest.raises(CheckpointFormatError, match="pool.w_c"):
             model_from_checkpoint(loaded)
 
+    def test_model_from_checkpoint_scans_each_array_once(self, tmp_path,
+                                                         monkeypatch):
+        """``model_from_checkpoint`` scans each float32 copy once and the
+        tensors do not scan it again; a NaN put in after loading, or a
+        float64 value that overflows float32, is rejected by name."""
+        self.trained(tmp_path)
+        loaded = load_checkpoint(tmp_path / "ck.bin")
+        scanned, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a, *args, **kwargs: (
+            scanned.append(np.shape(a)) or isfinite(a, *args, **kwargs)))
+        model_from_checkpoint(loaded)
+        assert scanned == list(param_shapes(loaded.config).values())
+        for value in (np.nan, 1e300):
+            bad = loaded.params["head.fc1.b"].astype(np.float64)
+            bad[0] = value
+            loaded.params["head.fc1.b"] = bad
+            with pytest.raises(CheckpointFormatError,
+                               match=r"^checkpoint: record 'head.fc1.b' "
+                               r"holds a non-finite value$"):
+                model_from_checkpoint(loaded)
+
     def test_missing_parameter_rejected(self, tmp_path):
         _, _, _, ckpt = self.trained(tmp_path)
         loaded = load_checkpoint(tmp_path / "ck.bin")
