@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import ConfigError, ModelConfig, SaepModel, param_shapes, \
     LOSS_SOFTMAX, LOSS_AM_SOFTMAX
-from .optim import AdamState, ParameterSet
+from .optim import AdamState
 from .records import CheckpointFormatError, read_records, write_records
 from .tensor import Tensor
 
@@ -165,6 +165,6 @@ def model_from_checkpoint(ckpt: Checkpoint) -> SaepModel:
         params = {name: a.astype(np.float32)
                   for name, a in ckpt.params.items()}
     _check_params("checkpoint", shapes, params)
-    return SaepModel(ckpt.config, ParameterSet(
-        (name, Tensor._checked(params[name], requires_grad=True))
-        for name in shapes))
+    return SaepModel(ckpt.config, {
+        name: Tensor._checked(params[name], requires_grad=True)
+        for name in shapes})

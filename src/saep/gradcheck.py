@@ -66,7 +66,7 @@ def gradient_check(f: Callable[[], Tensor],
     saved = [t.data for t in tensors]
     for t in tensors:
         t.requires_grad = True
-        t.zero_grad()
+        t.grad = None
     worst_err = 0.0
     worst_loc = None
     worst_a = worst_n = 0.0
@@ -89,7 +89,7 @@ def gradient_check(f: Callable[[], Tensor],
             analytic = [np.zeros_like(t.data) if t.grad is None
                         else t.grad.copy() for t in tensors]
             for t in tensors:
-                t.zero_grad()
+                t.grad = None
 
             with no_grad():
                 def fd(flat, i, h):
@@ -156,7 +156,7 @@ def gradient_check(f: Callable[[], Tensor],
     finally:
         for t, original in zip(tensors, saved):
             t.data = original
-            t.zero_grad()
+            t.grad = None
     return GradCheckReport(passed=not failures,
                            worst_error=worst_err,
                            worst_location=worst_loc,

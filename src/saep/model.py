@@ -18,13 +18,13 @@ import numpy as np
 
 from . import tensor as tz
 from .features import FeatureSequence
-from .optim import ParameterSet
 from .tensor import Tensor
 from .verification import SpeakerEmbedding
 
 __all__ = ["ModelConfig", "SaepModel", "SpeakerEmbedding", "ConfigError",
            "am_softmax_loss", "init_model", "param_shapes", "param_breakdown",
-           "count_params", "FC1_DIM", "LOSS_SOFTMAX", "LOSS_AM_SOFTMAX"]
+           "count_params", "stored_float", "FC1_DIM", "LOSS_SOFTMAX",
+           "LOSS_AM_SOFTMAX"]
 
 LOSS_SOFTMAX = "softmax"
 LOSS_AM_SOFTMAX = "am_softmax"
@@ -35,6 +35,14 @@ FC1_DIM = 90
 
 class ConfigError(ValueError):
     """A model hyperparameter is out of its legal range."""
+
+
+def stored_float(value: float) -> np.float32:
+    """``value`` as the float32 a checkpoint stores for it, infinite if it
+    overflows. Config checks test this, so that every config that trains
+    also reloads."""
+    with np.errstate(over="ignore"):
+        return np.float32(value)
 
 
 @dataclass
@@ -60,16 +68,18 @@ class ModelConfig:
                                   % (field_name, getattr(self, field_name)))
         for field_name in ("encoder_dropout", "head_dropout"):
             rate = getattr(self, field_name)
-            if not 0.0 <= rate < 1.0:
+            if not 0.0 <= stored_float(rate) < 1.0:
                 raise ConfigError("%s must be in [0, 1), got %r"
                                   % (field_name, rate))
         if self.loss not in (LOSS_SOFTMAX, LOSS_AM_SOFTMAX):
             raise ConfigError("loss must be %r or %r, got %r"
                               % (LOSS_SOFTMAX, LOSS_AM_SOFTMAX, self.loss))
-        if self.am_scale <= 0:
-            raise ConfigError("am_scale must be > 0, got %r" % self.am_scale)
-        if self.am_margin < 0:
-            raise ConfigError("am_margin must be >= 0, got %r" % self.am_margin)
+        if not 0.0 < stored_float(self.am_scale) < math.inf:
+            raise ConfigError("am_scale must be finite and > 0, got %r"
+                              % self.am_scale)
+        if not 0.0 <= stored_float(self.am_margin) < math.inf:
+            raise ConfigError("am_margin must be finite and >= 0, got %r"
+                              % self.am_margin)
         return self
 
 
@@ -104,7 +114,7 @@ def init_model(config: ModelConfig, seed: int = 0) -> "SaepModel":
     identity layer-norm affines, deterministically from ``seed``."""
     config.validate()
     rng = np.random.default_rng(seed)
-    params = ParameterSet()
+    params: Dict[str, Tensor] = {}
     for name, shape in param_shapes(config).items():
         if len(shape) == 2:  # a (fan_in, fan_out) matrix
             limit = np.sqrt(6.0 / sum(shape))
@@ -182,19 +192,11 @@ def am_softmax_loss(features: Tensor, labels, weight: Tensor,
 class SaepModel:
     """Configuration plus named parameters, with all forward passes."""
 
-    def __init__(self, config: ModelConfig, params: ParameterSet):
+    def __init__(self, config: ModelConfig, params: Dict[str, Tensor]):
         self.config = config
         self.params = params
 
     # -- encoder -----------------------------------------------------------
-
-    def qkv_project(self, x: Tensor, block: int) -> Tuple[Tensor, Tensor, Tensor]:
-        p = self.params
-        pre = "enc%d." % block
-        q = tz.linear(x, p[pre + "w_q"])
-        k = tz.linear(x, p[pre + "w_k"])
-        v = tz.linear(x, p[pre + "w_v"])
-        return q, k, v
 
     def position_ffn(self, h: Tensor, block: int) -> Tensor:
         p = self.params
@@ -208,7 +210,9 @@ class SaepModel:
         p = self.params
         c = self.config
         pre = "enc%d." % block
-        q, k, v = self.qkv_project(x, block)
+        q = tz.linear(x, p[pre + "w_q"])
+        k = tz.linear(x, p[pre + "w_k"])
+        v = tz.linear(x, p[pre + "w_v"])
         attn = tz.attention(q, k, v, trace=trace)
         proj = tz.linear(attn, p[pre + "w_o"])
         proj = tz.dropout(proj, c.encoder_dropout, rng)
@@ -268,14 +272,6 @@ class SaepModel:
                              labels)
         return tz.linear(h, p["out.w"], p["out.b"])
 
-    def head_forward(self, c: Tensor,
-                     rng: Optional[np.random.Generator] = None
-                     ) -> Tuple[Tensor, Tensor]:
-        """Classifier head plus output layer; returns (logits, embedding)
-        for a single pooled vector (d,) or a batch (B x d)."""
-        embedding, last = self.head(c, rng=rng)
-        return self.output_logits(last), embedding
-
     # -- end to end --------------------------------------------------------
 
     def forward_loss(self, batch: np.ndarray, labels,
@@ -298,11 +294,9 @@ class SaepModel:
     def logits_eval(self, batch: np.ndarray) -> np.ndarray:
         """Eval-mode class logits for a batch of chunks (for accuracy)."""
         with tz.no_grad():
-            x = Tensor(batch)
-            h = self.encode(x)
-            pooled = self.attention_pool(h)
-            logits, _ = self.head_forward(pooled)
-        return logits.data
+            h = self.encode(Tensor(batch))
+            _, last = self.head(self.attention_pool(h))
+            return self.output_logits(last).data
 
     def extract_embedding(self, feats: FeatureSequence) -> SpeakerEmbedding:
         """Full-utterance, eval-mode embedding from the second hidden layer."""
@@ -313,11 +307,3 @@ class SaepModel:
             embedding = self.embed(self.attention_pool(h))
         return SpeakerEmbedding(vector=embedding.data.copy(),
                                 utterance_id=feats.utterance_id)
-
-    # -- accounting --------------------------------------------------------
-
-    def param_breakdown(self) -> Dict[str, int]:
-        return param_breakdown(self.config)
-
-    def count_params(self, convention: str = "all") -> int:
-        return count_params(self.config, convention)

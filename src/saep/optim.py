@@ -1,4 +1,4 @@
-"""Named trainable parameters and the Adam optimizer."""
+"""The Adam optimizer over named trainable parameters."""
 
 from __future__ import annotations
 
@@ -7,18 +7,13 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["ParameterSet", "AdamState", "adam_step", "MissingGradientError"]
+from .tensor import Tensor
+
+__all__ = ["AdamState", "adam_step", "MissingGradientError"]
 
 
 class MissingGradientError(RuntimeError):
     """adam_step was called before gradients were populated."""
-
-
-class ParameterSet(dict):
-    """Trainable tensors by name, in ``param_shapes`` order."""
-
-    def names(self):
-        return list(self)
 
 
 @dataclass
@@ -34,7 +29,7 @@ class AdamState:
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: ParameterSet, state: AdamState) -> None:
+def adam_step(params: Dict[str, Tensor], state: AdamState) -> None:
     """One in-place Adam update with bias correction; clears gradients."""
     for name, value in params.items():
         if value.grad is None:

@@ -145,9 +145,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         # Gradients are never mutated in place, so sharing a buffer with a
         # child's gradient (e.g. through reshape views) is safe.

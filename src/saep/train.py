@@ -7,6 +7,7 @@ resumed run continues bit-exactly where an uninterrupted one would be.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -15,7 +16,7 @@ import numpy as np
 from .checkpoint import Checkpoint, save_checkpoint, speaker_fingerprint
 from .features import FEATURE_DIM, FeatureSequence, chunk
 from .manifest import Manifest
-from .model import SaepModel
+from .model import SaepModel, stored_float
 from .optim import AdamState, adam_step
 from .tensor import NonFiniteError
 
@@ -46,6 +47,21 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1, got %r"
                              % self.batch_size)
+        if not 0 <= self.seed < 1 << 64:  # a checkpoint stores 64 bits
+            raise ValueError("seed must be in [0, 2**64), got %r" % self.seed)
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0, got %r"
+                             % self.checkpoint_every)
+        # A zero lr is a run that leaves the parameters as they are.
+        if not 0.0 <= stored_float(self.lr) < math.inf:
+            raise ValueError("lr must be finite and >= 0, got %r" % self.lr)
+        if not 0.0 < stored_float(self.eps) < math.inf:
+            raise ValueError("eps must be finite and > 0, got %r" % self.eps)
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= stored_float(value) < 1.0:
+                raise ValueError("%s must be in [0, 1), got %r"
+                                 % (name, value))
         return self
 
 

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -595,6 +597,40 @@ class TestErrors:
                      "count-params"):
             assert name in out
 
+    @pytest.mark.parametrize("line,key", [
+        ("am_scale = nan", "am_scale"),
+        ("am_scale = 1e39", "am_scale"),
+        ("am_margin = inf", "am_margin"),
+        ("encoder_dropout = 0.99999999", "encoder_dropout"),
+        ("lr = inf", "lr"),
+        ("lr = -1e-3", "lr"),
+        ("eps = 1e-50", "eps"),
+        ("beta1 = 1.0", "beta1"),
+        ("beta2 = 0.99999999", "beta2"),
+        ("checkpoint_every = -2", "checkpoint_every"),
+        ("seed = 18446744073709551616", "seed"),
+    ], ids=["nan_am_scale", "am_scale_beyond_float32", "infinite_am_margin",
+            "dropout_rounds_to_one", "infinite_lr", "negative_lr",
+            "eps_rounds_to_zero", "beta1_one", "beta2_rounds_to_one",
+            "negative_checkpoint_every", "seed_beyond_64_bits"])
+    def test_invalid_config_value(self, tmp_path, mini_corpus, capsys, line,
+                                  key):
+        """Each value would train, or fail only later, if the config check
+        let it through. The run stops before it writes a checkpoint."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(
+            row + "\n" for row in TRAIN_CONFIG.splitlines()
+            if row.partition("=")[0].strip() != key) + line + "\n")
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--config", str(cfg), "--steps", "1",
+                   "--manifest", mini_corpus.manifest_path,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: %s must be " % key), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRecordFiles:
     @pytest.mark.parametrize("records,edit,fragment", [
@@ -621,6 +657,14 @@ class TestRecordFiles:
 
 
 class TestLayering:
+    @pytest.mark.parametrize("module", sorted(
+        name for _, name, _ in pkgutil.iter_modules(saep.__path__)
+        if name != "__main__"))
+    def test_every_export_exists(self, module):
+        mod = importlib.import_module("saep." + module)
+        assert [name for name in getattr(mod, "__all__", ())
+                if not hasattr(mod, name)] == []
+
     @pytest.mark.parametrize("modules,below", [
         ("saep.verification, saep.records",
          ("saep.model", "saep.tensor", "scipy")),

@@ -11,7 +11,7 @@ from saep import tensor as tz
 from saep.features import FeatureSequence
 from saep.gradcheck import gradient_check
 from saep.model import ConfigError, ModelConfig, am_softmax_loss, \
-    init_model, LOSS_AM_SOFTMAX
+    count_params, init_model, param_breakdown, LOSS_AM_SOFTMAX
 from saep.tensor import Tensor
 
 import reference_ops as ref
@@ -42,7 +42,11 @@ class TestConfig:
                                      dict(encoder_dropout=1.0),
                                      dict(loss="hinge"),
                                      dict(am_scale=0.0),
-                                     dict(am_margin=-0.1)])
+                                     dict(am_margin=-0.1),
+                                     dict(am_scale=float("nan")),
+                                     dict(am_scale=1e39),
+                                     dict(am_margin=float("inf")),
+                                     dict(head_dropout=0.99999999)])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
             tiny_config(**bad).validate()
@@ -61,30 +65,6 @@ class TestInitModel:
             digest.update(value.data.tobytes())
         assert digest.hexdigest() == ("a962a768869e15a9b1136e4c7952a1c8"
                                       "5678bb84cab0df8d30e2324e01e312e7")
-
-
-class TestQkvProject:
-    def test_identity_projection(self):
-        model = init_model(tiny_config(d_k=6, d_v=6), seed=0)
-        eye = np.eye(6, dtype=np.float32)
-        model.params["enc0.w_q"].data = eye.copy()
-        x = Tensor(np.random.default_rng(0).standard_normal((4, 6))
-                   .astype(np.float32))
-        q, _, _ = model.qkv_project(x, 0)
-        np.testing.assert_allclose(q.data, x.data, rtol=1e-6)
-
-    def test_single_row_hand_expansion(self, tiny_model):
-        x = np.random.default_rng(1).standard_normal((1, 6)).astype(np.float32)
-        q, k, v = tiny_model.qkv_project(Tensor(x), 0)
-        np.testing.assert_allclose(
-            q.data[0], x[0] @ tiny_model.params["enc0.w_q"].data, rtol=1e-5)
-
-    def test_against_matmul_oracle(self, tiny_model):
-        x = np.random.default_rng(2).standard_normal((3, 6)).astype(np.float32)
-        q, k, v = tiny_model.qkv_project(Tensor(x), 0)
-        p = tiny_model.params
-        for out, w in ((q, "enc0.w_q"), (k, "enc0.w_k"), (v, "enc0.w_v")):
-            np.testing.assert_allclose(out.data, x @ p[w].data, atol=1e-6)
 
 
 class TestAttention:
@@ -153,10 +133,51 @@ class TestPositionFfn:
                                    expected, atol=1e-5)
 
 
+def encoder_block_oracle(params, x, block):
+    """One eval-mode encoder block in float64 numpy from the block's
+    weights: Q/K/V, scaled softmax, W_O, residual layer norm, FFN,
+    residual layer norm."""
+    pre = "enc%d." % block
+    w = {name[len(pre):]: t.data.astype(np.float64)
+         for name, t in params.items() if name.startswith(pre)}
+
+    def norm(t, gain, bias):
+        centred = t - t.mean(axis=-1, keepdims=True)
+        var = (centred ** 2).mean(axis=-1, keepdims=True)
+        return centred / np.sqrt(var + 1e-5) * gain + bias
+
+    x = x.astype(np.float64)
+    q, k, v = x @ w["w_q"], x @ w["w_k"], x @ w["w_v"]
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    s1 = norm(weights @ v @ w["w_o"] + x, w["ln1.gain"], w["ln1.bias"])
+    ffn = np.maximum(s1 @ w["w_1"] + w["b_1"], 0.0) @ w["w_2"] + w["b_2"]
+    return norm(ffn + s1, w["ln2.gain"], w["ln2.bias"])
+
+
 class TestEncoderBlock:
+    @pytest.mark.parametrize("shape", [(1, 6), (7, 6), (3, 5, 6)])
+    def test_eval_matches_float64_oracle(self, shape):
+        """d_k != d_v and random layer-norm affines and biases, so a wrong
+        scale, a swapped projection or a dropped affine shows; dropout is
+        configured but an eval pass (no rng) must skip it."""
+        model = init_model(tiny_config(n_blocks=2, d_k=3, d_v=5,
+                                       encoder_dropout=0.3), seed=4)
+        rng = np.random.default_rng(sum(shape))
+        for name, t in model.params.items():
+            if name.startswith("enc1."):
+                t.data = rng.standard_normal(t.shape).astype(np.float32)
+        x = rng.standard_normal(shape).astype(np.float32)
+        out = model.encoder_block(Tensor(x), 1)
+        assert out.data.dtype == np.float32
+        np.testing.assert_allclose(out.data,
+                                   encoder_block_oracle(model.params, x, 1),
+                                   rtol=1e-4, atol=1e-5)
+
     def test_zero_weight_degenerate_is_finite(self):
         model = init_model(tiny_config(), seed=0)
-        for name in model.params.names():
+        for name in model.params:
             if name.startswith("enc0.") and "gain" not in name:
                 v = model.params[name]
                 v.data = np.zeros_like(v.data)
@@ -228,8 +249,8 @@ class TestAttentionPool:
 
         results = []
         for pool in (tiny_model.attention_pool, composed):
-            h.zero_grad()
-            w_c.zero_grad()
+            h.grad = None
+            w_c.grad = None
             out = pool(h)
             tz.tsum(tz.mul(out, g)).backward()
             results.append((out.data, h.grad, w_c.grad))
@@ -242,23 +263,21 @@ class TestHead:
     def test_eval_is_deterministic(self, tiny_model):
         c = Tensor(np.random.default_rng(14).standard_normal(6)
                    .astype(np.float32))
-        l1, e1 = tiny_model.head_forward(c)
-        l2, e2 = tiny_model.head_forward(c)
-        np.testing.assert_array_equal(l1.data, l2.data)
+        e1, h1 = tiny_model.head(c)
+        e2, h2 = tiny_model.head(c)
         np.testing.assert_array_equal(e1.data, e2.data)
+        np.testing.assert_array_equal(h1.data, h2.data)
 
     def test_embedding_width_default_config(self):
         model = init_model(ModelConfig(n_speakers=4), seed=0)
         c = Tensor(np.random.default_rng(15).standard_normal(90)
                    .astype(np.float32))
-        _, emb = model.head_forward(c)
-        assert emb.shape == (400,)
+        assert model.embed(c).shape == (400,)
 
     def test_embedding_nonnegative(self, tiny_model):
         c = Tensor(np.random.default_rng(16).standard_normal(6)
                    .astype(np.float32))
-        _, emb = tiny_model.head_forward(c)
-        assert np.all(emb.data >= 0.0)
+        assert np.all(tiny_model.embed(c).data >= 0.0)
 
 
 class TestAmSoftmaxLoss:
@@ -339,7 +358,7 @@ class TestForwardLoss:
         rep = gradient_check(
             lambda: model.forward_loss(batch, labels, train=False),
             [v for _, v in model.params.items()], tol=1e-2,
-            labels=model.params.names())
+            labels=list(model.params))
         assert rep.passed, str(rep)
 
     @pytest.mark.parametrize("loss_name", ["softmax", "am_softmax"])
@@ -480,25 +499,23 @@ class TestCountParams:
         assert model.params["enc0.w_q"].data.size == 6 * 4
 
     def test_breakdown_sums_to_total(self):
-        model = init_model(ModelConfig(n_speakers=100), seed=0)
-        breakdown = model.param_breakdown()
-        assert sum(breakdown.values()) == model.count_params("all")
+        config = ModelConfig(n_speakers=100)
+        assert sum(param_breakdown(config).values()) \
+            == count_params(config, "all")
 
     def test_default_config_reconciles(self):
-        model = init_model(ModelConfig(n_speakers=1000), seed=0)
+        count = count_params(ModelConfig(n_speakers=1000),
+                             "embedding-extractor")
         # published total for this configuration: 1.16M
-        assert model.count_params("embedding-extractor") == 1155596
-        assert abs(model.count_params("embedding-extractor") - 1.16e6) \
-            / 1.16e6 < 0.20
+        assert count == 1155596
+        assert abs(count - 1.16e6) / 1.16e6 < 0.20
 
     def test_alternative_config_reconciles(self):
-        model = init_model(ModelConfig(n_speakers=1000, d_k=64, d_v=64,
-                                       d_ff=1024), seed=0)
+        count = count_params(ModelConfig(n_speakers=1000, d_k=64, d_v=64,
+                                         d_ff=1024), "embedding-extractor")
         # published total for the small configuration: 0.45M
-        assert abs(model.count_params("embedding-extractor") - 0.45e6) \
-            / 0.45e6 < 0.35
+        assert abs(count - 0.45e6) / 0.45e6 < 0.35
 
     def test_unknown_convention(self):
-        model = init_model(tiny_config(), seed=0)
         with pytest.raises(ValueError):
-            model.count_params("bogus")
+            count_params(tiny_config(), "bogus")

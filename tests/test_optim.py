@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from saep.optim import AdamState, MissingGradientError, ParameterSet, \
-    adam_step
+from saep.optim import AdamState, MissingGradientError, adam_step
 from saep.tensor import Tensor
 
 
 def make_params(values):
-    params = ParameterSet()
+    params = {}
     for name, v in values.items():
         params[name] = Tensor(np.asarray(v, dtype=np.float32),
                               requires_grad=True)

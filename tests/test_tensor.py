@@ -248,7 +248,7 @@ class TestFusedAttention:
         results = []
         for op in (tz.attention, ref.composed_attention):
             for t in ins:
-                t.zero_grad()
+                t.grad = None
             out = op(*ins)
             tz.tsum(tz.mul(out, Tensor(g))).backward()
             results.append([out.data] + [t.grad for t in ins])
@@ -401,7 +401,7 @@ class TestResidualLayerNorm:
         results = []
         for fused in (True, False):
             for t in (x, r, gain, bias):
-                t.zero_grad()
+                t.grad = None
             zero = Tensor(np.zeros(shape, dtype=np.float32))
             out = (tz.layer_norm(x, r, gain, bias) if fused
                    else tz.layer_norm(tz.add(x, r), zero, gain, bias))

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, \
+    strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from saep.checkpoint import Checkpoint, CheckpointFormatError, \
@@ -202,6 +205,13 @@ class TestCheckpointFormat:
             read_records(path)
 
 
+# Mostly valid values, with the float32 edges a config check must see: a
+# value just under 1 or beyond 3.4e38 that float32 rounds to 1 or inf, and
+# a subnormal that it rounds to 0.
+unit_floats = st.floats(0, 1, exclude_max=True)
+positive_floats = st.floats(0, 3.5e38, exclude_min=True)
+
+
 class TestCheckpointRoundtrip:
     def trained(self, tmp_path, steps=4, seed=5):
         manifest, features = toy_corpus()
@@ -261,6 +271,42 @@ class TestCheckpointRoundtrip:
         write_records(tmp_path / "old.bin", records)
         loaded = load_checkpoint(tmp_path / "old.bin")
         assert loaded.step == loaded.opt.step == 100000
+
+    @settings(max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=st.builds(
+        ModelConfig, n_speakers=st.integers(1, 3), n_blocks=st.integers(1, 2),
+        d_m=st.integers(1, 3), d_k=st.integers(1, 3), d_v=st.integers(1, 3),
+        d_ff=st.integers(1, 3), embed_dim=st.integers(1, 3),
+        loss=st.sampled_from([LOSS_SOFTMAX, LOSS_AM_SOFTMAX]),
+        encoder_dropout=unit_floats, head_dropout=unit_floats,
+        am_scale=positive_floats, am_margin=st.floats(0, 3.5e38)),
+        train_config=st.builds(
+            TrainConfig, steps=st.just(1), lr=st.floats(0, 3.5e38),
+            eps=positive_floats, beta1=unit_floats, beta2=unit_floats))
+    def test_every_valid_config_reloads(self, tmp_path, config, train_config):
+        """A config and Adam settings that pass ``validate`` load back
+        from a checkpoint, equal to what was saved after float32
+        rounding."""
+        try:
+            config.validate()
+            train_config.validate()
+        except ValueError:
+            assume(False)
+        opt = AdamState(lr=train_config.lr, beta1=train_config.beta1,
+                        beta2=train_config.beta2, eps=train_config.eps)
+        save_checkpoint(Checkpoint(
+            config=config, opt=opt, step=0, seed=0,
+            params={name: np.zeros(shape, dtype=np.float32)
+                    for name, shape in param_shapes(config).items()}),
+            tmp_path / "ck.bin")
+        loaded = load_checkpoint(tmp_path / "ck.bin")
+        assert loaded.config == dataclasses.replace(config, **{
+            name: float(np.float32(getattr(config, name))) for name in (
+                "encoder_dropout", "head_dropout", "am_scale", "am_margin")})
+        for name in ("lr", "beta1", "beta2", "eps"):
+            assert getattr(loaded.opt, name) \
+                == float(np.float32(getattr(opt, name))), name
 
     def test_model_from_checkpoint_shape_mismatch(self, tmp_path):
         _, _, _, ckpt = self.trained(tmp_path)
@@ -324,7 +370,7 @@ class TestParamTable:
             tmp_path / "ck.bin")
         ckpt = load_checkpoint(tmp_path / "ck.bin")
         reloaded = model_from_checkpoint(ckpt)
-        assert reloaded.params.names() == model.params.names()
+        assert list(reloaded.params) == list(model.params)
         for name, value in model.params.items():
             got = reloaded.params[name].data
             assert got.dtype == np.float32 and got.shape == value.data.shape
