@@ -13,8 +13,8 @@ from typing import Dict, Iterable, Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from .model import ConfigError, ModelConfig, SaepModel, param_shapes, \
-    LOSS_SOFTMAX, LOSS_AM_SOFTMAX
+from .model import ModelConfig, SaepModel, param_shapes, LOSS_SOFTMAX, \
+    LOSS_AM_SOFTMAX
 from .optim import AdamState
 from .records import CheckpointFormatError, read_records, write_records
 from .tensor import Tensor
@@ -120,6 +120,16 @@ def _check_params(path, shapes: Dict[str, Tuple[int, ...]],
                                         "value" % (path, prefix + name))
 
 
+def _validated(path, prefix: str, settings):
+    """``settings.validate()``, whose errors begin with the field name,
+    re-raised to name the file and the record ``prefix + field``."""
+    try:
+        return settings.validate()
+    except ValueError as exc:
+        raise CheckpointFormatError("%s: record '%s%s': %s" % (
+            path, prefix, str(exc).split()[0], exc)) from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     records = read_records(path)
     kwargs = {name: _scalar(path, records, "cfg." + name,
@@ -129,15 +139,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError("%s: record 'cfg.loss' holds unknown "
                                     "loss code %r" % (path, kwargs["loss"]))
     kwargs["loss"] = _LOSS_NAME[kwargs["loss"]]
-    try:
-        config = ModelConfig(**kwargs).validate()
-    except ConfigError as exc:  # each message begins with the field name
-        raise CheckpointFormatError("%s: record 'cfg.%s': %s" % (
-            path, str(exc).split()[0], exc)) from None
+    config = _validated(path, "cfg.", ModelConfig(**kwargs))
     step = _scalar(path, records, "opt.step", int)
-    opt = AdamState(step=step, **{
+    opt = _validated(path, "opt.", AdamState(step=step, **{
         name: _scalar(path, records, "opt." + name, float)
-        for name in _OPT_SCALARS})
+        for name in _OPT_SCALARS}))
     speakers = (_scalar(path, records, "opt.speakers", int)
                 if "opt.speakers" in records else None)
     shapes = param_shapes(config)

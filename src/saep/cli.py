@@ -113,7 +113,7 @@ def _cmd_train(args) -> int:
     from .config import build_configs
     from .manifest import load_manifest
     from .model import init_model
-    from .train import check_start_step, train
+    from .train import check_resume_step, train
 
     manifest = load_manifest(args.manifest)
     sections = _load_run_config(args.config)
@@ -122,7 +122,7 @@ def _cmd_train(args) -> int:
         steps=args.steps, seed=args.seed)
     if args.resume is not None:
         ckpt = load_checkpoint(args.resume)
-        check_start_step(ckpt.step, train_config)
+        check_resume_step(ckpt.step, train_config)
         if ckpt.config.n_speakers != manifest.n_speakers:
             raise ValueError(
                 "checkpoint %s has %d speakers but manifest %s has %d"
@@ -134,11 +134,11 @@ def _cmd_train(args) -> int:
                 "checkpoint %s was trained on other speaker names than "
                 "manifest %s has" % (args.resume, args.manifest))
         model = model_from_checkpoint(ckpt)
-        opt, start_step = ckpt.opt, ckpt.step
+        opt = ckpt.opt
         train_config.seed = ckpt.seed
     else:
         model = init_model(model_config, seed=train_config.seed)
-        opt, start_step = None, 0
+        opt = None
     features = features_for_manifest(manifest, args.feature_cache)
 
     def log(step, loss):
@@ -146,7 +146,7 @@ def _cmd_train(args) -> int:
             print("step %d loss %.4f" % (step, loss), flush=True)
 
     _, trace = train(manifest, features, model, train_config, opt=opt,
-                     start_step=start_step, checkpoint_path=args.out, log=log)
+                     checkpoint_path=args.out, log=log)
     if args.loss_log is not None:
         with open(args.loss_log, "w", encoding="utf-8") as fh:
             fh.write("step,loss\n")

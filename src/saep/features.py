@@ -147,17 +147,14 @@ def cmvn(feats: np.ndarray) -> np.ndarray:
     return ((feats - mu) / std).astype(np.float32)
 
 
-def chunk(feats: FeatureSequence, length: int = 300,
-          rng: np.random.Generator | None = None) -> np.ndarray:
+def chunk(feats: FeatureSequence, length: int,
+          rng: np.random.Generator) -> np.ndarray:
     """Random contiguous window of ``length`` frames; short utterances are
     wrap-padded by repetition."""
     frames = feats.frames
     t = frames.shape[0]
     if t >= length:
-        if rng is None:
-            start = 0
-        else:
-            start = int(rng.integers(0, t - length + 1))
+        start = int(rng.integers(0, t - length + 1))
         return frames[start:start + length]
     return frames[np.arange(length) % t]
 

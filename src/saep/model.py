@@ -22,9 +22,8 @@ from .tensor import Tensor
 from .verification import SpeakerEmbedding
 
 __all__ = ["ModelConfig", "SaepModel", "SpeakerEmbedding", "ConfigError",
-           "am_softmax_loss", "init_model", "param_shapes", "param_breakdown",
-           "count_params", "stored_float", "FC1_DIM", "LOSS_SOFTMAX",
-           "LOSS_AM_SOFTMAX"]
+           "init_model", "param_shapes", "param_breakdown", "count_params",
+           "stored_float", "FC1_DIM", "LOSS_SOFTMAX", "LOSS_AM_SOFTMAX"]
 
 LOSS_SOFTMAX = "softmax"
 LOSS_AM_SOFTMAX = "am_softmax"
@@ -181,14 +180,6 @@ def _am_logits(features: Tensor, weight: Tensor, scale: float,
     return tz.mul(cos, float(scale))
 
 
-def am_softmax_loss(features: Tensor, labels, weight: Tensor,
-                    scale: float, margin: float) -> Tensor:
-    """Additive-margin softmax: cross-entropy over the margin-adjusted
-    scaled cosine logits of :func:`_am_logits`."""
-    return tz.cross_entropy(_am_logits(features, weight, scale, margin,
-                                      labels), labels)
-
-
 class SaepModel:
     """Configuration plus named parameters, with all forward passes."""
 
@@ -197,12 +188,6 @@ class SaepModel:
         self.params = params
 
     # -- encoder -----------------------------------------------------------
-
-    def position_ffn(self, h: Tensor, block: int) -> Tensor:
-        p = self.params
-        pre = "enc%d." % block
-        hidden = tz.relu(tz.linear(h, p[pre + "w_1"], p[pre + "b_1"]))
-        return tz.linear(hidden, p[pre + "w_2"], p[pre + "b_2"])
 
     def encoder_block(self, x: Tensor, block: int,
                       rng: Optional[np.random.Generator] = None,
@@ -217,7 +202,9 @@ class SaepModel:
         proj = tz.linear(attn, p[pre + "w_o"])
         proj = tz.dropout(proj, c.encoder_dropout, rng)
         s1 = tz.layer_norm(proj, x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        ffn = tz.dropout(self.position_ffn(s1, block), c.encoder_dropout, rng)
+        hidden = tz.relu(tz.linear(s1, p[pre + "w_1"], p[pre + "b_1"]))
+        ffn = tz.dropout(tz.linear(hidden, p[pre + "w_2"], p[pre + "b_2"]),
+                         c.encoder_dropout, rng)
         return tz.layer_norm(ffn, s1, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
 
     def encode(self, x: Tensor, rng: Optional[np.random.Generator] = None,
@@ -239,27 +226,19 @@ class SaepModel:
         pooled = tz.attention(query, h, h, trace=trace, scale=1.0)
         return tz.reshape(pooled, h.shape[:-2] + h.shape[-1:])
 
-    def _dense(self, x: Tensor, layer: str) -> Tensor:
-        p = self.params
-        return tz.relu(tz.linear(x, p[layer + ".w"], p[layer + ".b"]))
-
-    def embed(self, c: Tensor,
-              rng: Optional[np.random.Generator] = None) -> Tensor:
-        """First two head layers (B x d_m -> B x embed_dim). The embedding
-        is the second hidden layer's post-ReLU activation, before dropout."""
-        h1 = tz.dropout(self._dense(c, "head.fc1"), self.config.head_dropout,
-                        rng)
-        return self._dense(h1, "head.fc2")
-
     def head(self, c: Tensor, rng: Optional[np.random.Generator] = None
              ) -> Tuple[Tensor, Tensor]:
-        """Classifier head fc1 -> fc2 -> fc3 with dropout after each layer;
-        returns (embedding, last hidden activation)."""
-        rate = self.config.head_dropout
-        embedding = self.embed(c, rng=rng)
-        h2 = tz.dropout(embedding, rate, rng)
-        h3 = tz.dropout(self._dense(h2, "head.fc3"), rate, rng)
-        return embedding, h3
+        """Classifier head fc1 -> fc2 -> fc3, each relu(linear) then
+        dropout; returns (embedding, last hidden activation). The embedding
+        is fc2's post-ReLU activation, before its dropout
+        (B x d_m -> B x embed_dim)."""
+        p = self.params
+        for layer in ("head.fc1", "head.fc2", "head.fc3"):
+            act = tz.relu(tz.linear(c, p[layer + ".w"], p[layer + ".b"]))
+            if layer == "head.fc2":
+                embedding = act
+            c = tz.dropout(act, self.config.head_dropout, rng)
+        return embedding, c
 
     def output_logits(self, h: Tensor, labels=None) -> Tensor:
         """Output layer: scaled cosine logits for AM-softmax (with the
@@ -304,6 +283,6 @@ class SaepModel:
             raise ValueError("cannot embed an empty feature sequence")
         with tz.no_grad():
             h = self.encode(Tensor(feats.frames))
-            embedding = self.embed(self.attention_pool(h))
+            embedding = self.head(self.attention_pool(h))[0]
         return SpeakerEmbedding(vector=embedding.data.copy(),
                                 utterance_id=feats.utterance_id)

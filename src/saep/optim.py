@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
 
+from .model import stored_float
 from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_step", "MissingGradientError"]
@@ -27,6 +29,21 @@ class AdamState:
     step: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    def validate(self) -> "AdamState":
+        """Raise ValueError, whose message begins with the setting's name,
+        unless each setting is in range as the float32 a checkpoint stores.
+        A zero lr is a run that leaves the parameters as they are."""
+        if not 0.0 <= stored_float(self.lr) < math.inf:
+            raise ValueError("lr must be finite and >= 0, got %r" % self.lr)
+        if not 0.0 < stored_float(self.eps) < math.inf:
+            raise ValueError("eps must be finite and > 0, got %r" % self.eps)
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= stored_float(value) < 1.0:
+                raise ValueError("%s must be in [0, 1), got %r"
+                                 % (name, value))
+        return self
 
 
 def adam_step(params: Dict[str, Tensor], state: AdamState) -> None:

@@ -9,6 +9,7 @@ the frequency triple stays the identifying trait.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -16,6 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .audio import write_wav
+from .features import TooShortError, num_frames
 from .manifest import Manifest, save_manifest
 from .verification import Trial, save_trials
 
@@ -103,6 +105,16 @@ def synth_corpus(out_dir, n_speakers: int = 10, utts_per_speaker: int = 20,
                  n_pairs_per_class: int = 500) -> SynthCorpus:
     """Generate WAVs, a manifest, and a balanced trial list under
     ``out_dir``, deterministically from ``seed``."""
+    n_triples = math.comb(len(FREQ_GRID), HARMONICS_PER_SPEAKER)
+    if n_speakers > n_triples:
+        raise ValueError("cannot draw %d speakers: the frequency grid has "
+                         "only %d distinct triples" % (n_speakers, n_triples))
+    if not math.isfinite(duration):
+        raise ValueError("duration must be finite, got %r" % duration)
+    try:  # every clip must give the front end at least one frame
+        num_frames(int(round(duration * SAMPLE_RATE)))
+    except TooShortError as exc:
+        raise TooShortError("duration %g s: %s" % (duration, exc)) from None
     # Trials are distinct ordered pairs of distinct utterances.
     n_target = n_speakers * utts_per_speaker * (utts_per_speaker - 1)
     n_nontarget = n_speakers * (n_speakers - 1) * utts_per_speaker ** 2

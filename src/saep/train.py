@@ -7,8 +7,7 @@ resumed run continues bit-exactly where an uninterrupted one would be.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -16,12 +15,12 @@ import numpy as np
 from .checkpoint import Checkpoint, save_checkpoint, speaker_fingerprint
 from .features import FEATURE_DIM, FeatureSequence, chunk
 from .manifest import Manifest
-from .model import SaepModel, stored_float
+from .model import SaepModel
 from .optim import AdamState, adam_step
 from .tensor import NonFiniteError
 
 __all__ = ["TrainConfig", "TrainingDiverged", "make_batch", "train",
-           "check_start_step", "chunk_accuracy"]
+           "check_resume_step", "chunk_accuracy"]
 
 CHUNK_FRAMES = 300
 
@@ -52,16 +51,7 @@ class TrainConfig:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0, got %r"
                              % self.checkpoint_every)
-        # A zero lr is a run that leaves the parameters as they are.
-        if not 0.0 <= stored_float(self.lr) < math.inf:
-            raise ValueError("lr must be finite and >= 0, got %r" % self.lr)
-        if not 0.0 < stored_float(self.eps) < math.inf:
-            raise ValueError("eps must be finite and > 0, got %r" % self.eps)
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= stored_float(value) < 1.0:
-                raise ValueError("%s must be in [0, 1), got %r"
-                                 % (name, value))
+        AdamState(self.lr, self.beta1, self.beta2, self.eps).validate()
         return self
 
 
@@ -86,28 +76,26 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng((seed, step))
 
 
-def check_start_step(start_step: int, config: TrainConfig) -> None:
-    if start_step > config.steps:
+def check_resume_step(step: int, config: TrainConfig) -> None:
+    if step > config.steps:
         raise ValueError("cannot resume at step %d: the run ends at step %d"
-                         % (start_step, config.steps))
+                         % (step, config.steps))
 
 
 def train(manifest: Manifest, features: Dict[str, FeatureSequence],
           model: SaepModel, config: TrainConfig,
-          opt: Optional[AdamState] = None, start_step: int = 0,
-          checkpoint_path=None,
+          opt: Optional[AdamState] = None, checkpoint_path=None,
           log: Optional[Callable[[int, float], None]] = None
           ) -> Tuple[Checkpoint, List[Tuple[int, float]]]:
-    """Run steps ``start_step+1 .. config.steps``; returns the final
-    checkpoint and the (step, loss) trace."""
+    """Run steps ``opt.step+1 .. config.steps``, from step 1 without
+    ``opt``; returns the final checkpoint and the (step, loss) trace."""
     config.validate()
-    check_start_step(start_step, config)
     if opt is None:
-        opt = AdamState(lr=config.lr, beta1=config.beta1,
-                        beta2=config.beta2, eps=config.eps)
+        opt = AdamState(config.lr, config.beta1, config.beta2, config.eps)
+    check_resume_step(opt.step, config)
     trace: List[Tuple[int, float]] = []
     speakers = speaker_fingerprint(manifest.label_map)
-    for step in range(start_step + 1, config.steps + 1):
+    for step in range(opt.step + 1, config.steps + 1):
         rng = _step_rng(config.seed, step)
         batch, labels = make_batch(manifest, features, config.batch_size, rng)
         try:
@@ -136,10 +124,8 @@ def train(manifest: Manifest, features: Dict[str, FeatureSequence],
 def _snapshot(model: SaepModel, opt: AdamState, step: int, seed: int,
               speakers: int) -> Checkpoint:
     params = {name: value.data.copy() for name, value in model.params.items()}
-    opt_copy = AdamState(lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2,
-                         eps=opt.eps, step=opt.step,
-                         m={k: v.copy() for k, v in opt.m.items()},
-                         v={k: v.copy() for k, v in opt.v.items()})
+    opt_copy = replace(opt, m={k: v.copy() for k, v in opt.m.items()},
+                       v={k: v.copy() for k, v in opt.v.items()})
     return Checkpoint(config=model.config, params=params, opt=opt_copy,
                       step=step, seed=seed, speakers=speakers)
 

@@ -9,9 +9,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 __all__ = ["SpeakerEmbedding", "Trial", "ScoredTrial", "TrialListError",
-           "ZeroNormError", "NonFiniteError", "cosine_score", "score_trials",
-           "compute_eer", "evaluate", "det_points", "load_trials",
-           "save_trials", "load_scores", "save_scores"]
+           "ZeroNormError", "NonFiniteError", "score_trials", "compute_eer",
+           "evaluate", "load_trials", "save_trials", "load_scores",
+           "save_scores"]
 
 # Rows gathered per block: two float64 blocks of 512 x 400 take 3.2 MB.
 _CHUNK = 512
@@ -129,11 +129,6 @@ def _raise_fault(embeddings, ids, vectors, norms, a: int, b: int) -> None:
                                           norms[c]))
 
 
-def cosine_score(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
-    return float(_cosines([a, b], [a.utterance_id, b.utterance_id],
-                          np.array([0]), np.array([1]))[0])
-
-
 def score_trials(trials: List[Trial],
                  embeddings: Dict[str, SpeakerEmbedding]) -> List[ScoredTrial]:
     enroll = [t.enroll_id for t in trials]
@@ -170,17 +165,6 @@ def _det(scores: List[ScoredTrial]) -> Tuple[np.ndarray, ...]:
     far = (n_non - np.searchsorted(nontargets, thresholds, "left")) / n_non
     frr = np.searchsorted(targets, thresholds, "left") / n_tgt
     return thresholds, far, frr
-
-
-def det_points(scores: List[ScoredTrial]) -> List[Tuple[float, float, float]]:
-    """(threshold, FAR, FRR) at every distinct score threshold.
-
-    Decisions accept when score >= threshold, so a nontarget exactly at the
-    threshold counts as a false accept and a target below it as a false
-    reject. FAR is non-increasing and FRR non-decreasing in the threshold.
-    """
-    thresholds, far, frr = _det(scores)
-    return list(zip(thresholds.tolist(), far.tolist(), frr.tolist()))
 
 
 def _eer(t: np.ndarray, far: np.ndarray,

@@ -13,8 +13,8 @@ from saep.cli import main
 from saep.features import FeatureSequence
 from saep.gradcheck import gradient_check
 from saep.manifest import load_manifest
-from saep.model import ModelConfig, am_softmax_loss, count_params, \
-    init_model
+from saep.model import LOSS_AM_SOFTMAX, ModelConfig, SaepModel, \
+    count_params, init_model
 from saep.tensor import Tensor
 from saep.train import TrainConfig, chunk_accuracy, train
 from saep.verification import ScoredTrial, compute_eer, load_trials, \
@@ -200,8 +200,11 @@ def test_criterion_6_margin_free_am_softmax_is_cross_entropy(capsys):
             feats = rng.standard_normal((n, d))
             weight = Tensor(rng.standard_normal((d, c)))
             labels = rng.integers(0, c, size=n)
-            am = am_softmax_loss(Tensor(feats), labels, weight,
-                                 scale=30.0, margin=0.0).item()
+            model = SaepModel(ModelConfig(c, loss=LOSS_AM_SOFTMAX,
+                                          am_scale=30.0, am_margin=0.0),
+                              {"out.w": weight})
+            am = tz.cross_entropy(model.output_logits(Tensor(feats), labels),
+                                  labels).item()
             fn = feats / np.linalg.norm(feats, axis=1, keepdims=True)
             wn = weight.data / np.linalg.norm(weight.data, axis=0,
                                               keepdims=True)
@@ -262,7 +265,7 @@ def test_criterion_8_bit_exact_resume(capsys, tmp_path, mini_corpus):
     loaded = load_checkpoint(tmp_path / "half.ckpt")
     resumed, _ = train(manifest, features, model_from_checkpoint(loaded),
                        TrainConfig(steps=20, batch_size=4, seed=loaded.seed),
-                       opt=loaded.opt, start_step=loaded.step)
+                       opt=loaded.opt)
     ok = all(np.array_equal(resumed.params[name], ckpt20.params[name])
              for name in ckpt20.params)
     ok = ok and all(

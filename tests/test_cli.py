@@ -461,6 +461,59 @@ class TestErrors:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("argv,fragment", [
+        (["--n-speakers", "41665"], "cannot draw 41665 speakers: the "
+         "frequency grid has only 41664 distinct triples"),
+        (["--duration", "-1"], "duration -1 s: clip of -16000 samples is "
+         "shorter than one 400-sample window"),
+        (["--duration", "0"], "duration 0 s: clip of 0 samples is shorter "
+         "than one 400-sample window"),
+        (["--duration", "0.01"], "duration 0.01 s: clip of 160 samples is "
+         "shorter than one 400-sample window"),
+        (["--duration", "nan"], "duration must be finite, got nan"),
+        (["--duration", "inf"], "duration must be finite, got inf"),
+    ], ids=["more_speakers_than_triples", "negative_duration",
+            "zero_duration", "duration_below_one_window", "nan_duration",
+            "infinite_duration"])
+    def test_synth_rejects_impossible_input(self, tmp_path, argv, fragment):
+        # In a child process with a timeout: drawing more distinct triples
+        # than the grid holds would never end.
+        done = subprocess.run(
+            [sys.executable, "-m", "saep", "synth",
+             "--out-dir", str(tmp_path / "c"), "--n-speakers", "2",
+             "--utts-per-speaker", "2", "--trial-pairs", "1", *argv],
+            env=child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == "error: %s\n" % fragment
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("opt.lr", -1.0, "lr must be finite and >= 0, got -1.0"),
+        ("opt.beta1", 1.0, "beta1 must be in [0, 1), got 1.0"),
+        ("opt.beta2", -0.5, "beta2 must be in [0, 1), got -0.5"),
+        ("opt.eps", 0.0, "eps must be finite and > 0, got 0.0"),
+    ], ids=["negative_lr", "beta1_one", "negative_beta2", "zero_eps"])
+    def test_resume_with_invalid_adam_setting(self, trained, tmp_path,
+                                              mini_corpus, capsys, key,
+                                              value, fragment):
+        """Each setting would resume and climb the loss, or end in a
+        non-finite loss, if the checkpoint reader let it through."""
+        records = read_records(trained / "model.ckpt")
+        records[key] = np.asarray([value], dtype=np.float32)
+        bad = tmp_path / "bad.ckpt"
+        write_records(bad, records)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        out = tmp_path / "resumed.ckpt"
+        rc = main(["train", "--config", str(trained / "run.cfg"),
+                   "--manifest", mini_corpus.manifest_path, "--steps", "3",
+                   "--resume", str(bad), "--feature-cache", str(cache),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s: record %r: %s\n" % (bad, key, fragment)
+        assert os.listdir(cache) == [] and not out.exists()
+
     def test_resume_with_renamed_speakers(self, trained, tmp_path,
                                           mini_corpus, capsys):
         entries = list(mini_corpus.manifest.entries)

@@ -191,7 +191,7 @@ class TestChunk:
 
     def test_wrap_padding(self):
         fs = self.seq(100)
-        out = chunk(fs, 300)
+        out = chunk(fs, 300, np.random.default_rng(0))
         assert out.shape == (300, 90)
         np.testing.assert_array_equal(out[:100], fs.frames)
         np.testing.assert_array_equal(out[100:200], fs.frames)

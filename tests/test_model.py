@@ -10,8 +10,8 @@ import pytest
 from saep import tensor as tz
 from saep.features import FeatureSequence
 from saep.gradcheck import gradient_check
-from saep.model import ConfigError, ModelConfig, am_softmax_loss, \
-    count_params, init_model, param_breakdown, LOSS_AM_SOFTMAX
+from saep.model import ConfigError, ModelConfig, SaepModel, count_params, \
+    init_model, param_breakdown, LOSS_AM_SOFTMAX
 from saep.tensor import Tensor
 
 import reference_ops as ref
@@ -105,32 +105,6 @@ class TestAttention:
         (weights,) = trace
         assert np.all(weights >= 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
-
-
-class TestPositionFfn:
-    def test_zero_weights_zero_output(self, tiny_model):
-        p = tiny_model.params
-        for name in ("enc0.w_1", "enc0.w_2", "enc0.b_2"):
-            p[name].data = np.zeros_like(p[name].data)
-        x = Tensor(np.random.default_rng(6).standard_normal((3, 6))
-                   .astype(np.float32))
-        np.testing.assert_array_equal(tiny_model.position_ffn(x, 0).data, 0.0)
-
-    def test_row_permutation_equivariance(self, tiny_model):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((5, 6)).astype(np.float32)
-        perm = rng.permutation(5)
-        out = tiny_model.position_ffn(Tensor(x), 0).data
-        out_p = tiny_model.position_ffn(Tensor(x[perm]), 0).data
-        np.testing.assert_allclose(out_p, out[perm], atol=1e-6)
-
-    def test_against_composition_oracle(self, tiny_model):
-        p = tiny_model.params
-        x = np.random.default_rng(8).standard_normal((4, 6)).astype(np.float32)
-        hidden = np.maximum(x @ p["enc0.w_1"].data + p["enc0.b_1"].data, 0.0)
-        expected = hidden @ p["enc0.w_2"].data + p["enc0.b_2"].data
-        np.testing.assert_allclose(tiny_model.position_ffn(Tensor(x), 0).data,
-                                   expected, atol=1e-5)
 
 
 def encoder_block_oracle(params, x, block):
@@ -272,12 +246,21 @@ class TestHead:
         model = init_model(ModelConfig(n_speakers=4), seed=0)
         c = Tensor(np.random.default_rng(15).standard_normal(90)
                    .astype(np.float32))
-        assert model.embed(c).shape == (400,)
+        assert model.head(c)[0].shape == (400,)
 
     def test_embedding_nonnegative(self, tiny_model):
         c = Tensor(np.random.default_rng(16).standard_normal(6)
                    .astype(np.float32))
-        assert np.all(tiny_model.embed(c).data >= 0.0)
+        assert np.all(tiny_model.head(c)[0].data >= 0.0)
+
+
+def am_training_loss(feats, labels, weight, margin):
+    """The training loss of an AM-softmax model (scale 30) whose output
+    layer is ``weight``, on pooled head features ``feats``."""
+    model = SaepModel(ModelConfig(weight.shape[1], loss=LOSS_AM_SOFTMAX,
+                                  am_scale=30.0, am_margin=margin),
+                      {"out.w": weight})
+    return tz.cross_entropy(model.output_logits(feats, labels), labels)
 
 
 class TestAmSoftmaxLoss:
@@ -286,7 +269,7 @@ class TestAmSoftmaxLoss:
         feats = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
         w = Tensor(rng.standard_normal((6, 3)).astype(np.float32))
         labels = [0, 2, 1, 0]
-        loss = am_softmax_loss(feats, labels, w, scale=30.0, margin=0.0)
+        loss = am_training_loss(feats, labels, w, margin=0.0)
         fn = feats.data / np.linalg.norm(feats.data, axis=1, keepdims=True)
         wn = w.data / np.linalg.norm(w.data, axis=0, keepdims=True)
         ref = tz.cross_entropy(Tensor(30.0 * (fn @ wn)), labels)
@@ -297,7 +280,7 @@ class TestAmSoftmaxLoss:
         # logits are (s * (1 - m), 0) = (18, 0).
         feats = Tensor([[2.0, 0.0]])
         w = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        loss = am_softmax_loss(feats, [0], w, scale=30.0, margin=0.4)
+        loss = am_training_loss(feats, [0], w, margin=0.4)
         expected = -math.log(math.exp(18.0) / (math.exp(18.0) + 1.0))
         np.testing.assert_allclose(loss.item(), expected, atol=1e-6)
 
@@ -306,8 +289,8 @@ class TestAmSoftmaxLoss:
         feats = rng.standard_normal((3, 5)).astype(np.float32) + 2.0
         w = Tensor(rng.standard_normal((5, 4)).astype(np.float32))
         labels = [1, 3, 0]
-        a = am_softmax_loss(Tensor(feats), labels, w, 30.0, 0.4).item()
-        b = am_softmax_loss(Tensor(10.0 * feats), labels, w, 30.0, 0.4).item()
+        a = am_training_loss(Tensor(feats), labels, w, 0.4).item()
+        b = am_training_loss(Tensor(10.0 * feats), labels, w, 0.4).item()
         assert abs(a - b) < 1e-5
 
 

@@ -308,6 +308,41 @@ class TestCheckpointRoundtrip:
             assert getattr(loaded.opt, name) \
                 == float(np.float32(getattr(opt, name))), name
 
+    adam_floats = st.one_of(
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, 1.0,
+                         3.5e38, -3.5e38]), st.floats())
+
+    @settings(max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lr=adam_floats, beta1=adam_floats, beta2=adam_floats,
+           eps=adam_floats)
+    def test_adam_settings_load_iff_valid(self, tmp_path, lr, beta1, beta2,
+                                          eps):
+        """``TrainConfig.validate`` accepts Adam settings if and only if a
+        checkpoint holding them loads: the converse of
+        ``test_every_valid_config_reloads``."""
+        try:
+            TrainConfig(steps=1, lr=lr, beta1=beta1, beta2=beta2,
+                        eps=eps).validate()
+            valid = True
+        except ValueError:
+            valid = False
+        config = ModelConfig(n_speakers=1, n_blocks=1, d_m=1, d_k=1, d_v=1,
+                             d_ff=1, embed_dim=1)
+        with np.errstate(over="ignore"):  # the float32 record may overflow
+            save_checkpoint(Checkpoint(
+                config=config, step=0, seed=0,
+                opt=AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps),
+                params={name: np.zeros(shape, dtype=np.float32)
+                        for name, shape in param_shapes(config).items()}),
+                tmp_path / "ck.bin")
+        try:
+            load_checkpoint(tmp_path / "ck.bin")
+            loads = True
+        except CheckpointFormatError:
+            loads = False
+        assert loads == valid
+
     def test_model_from_checkpoint_shape_mismatch(self, tmp_path):
         _, _, _, ckpt = self.trained(tmp_path)
         loaded = load_checkpoint(tmp_path / "ck.bin")
@@ -396,7 +431,7 @@ class TestResume:
         resumed, _ = train(manifest, features, resumed_model,
                            TrainConfig(steps=20, batch_size=4,
                                        seed=loaded.seed),
-                           opt=loaded.opt, start_step=loaded.step)
+                           opt=loaded.opt)
 
         for name, arr in ckpt20.params.items():
             np.testing.assert_array_equal(resumed.params[name], arr,
