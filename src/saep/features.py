@@ -4,7 +4,8 @@ Conventions (the milliseconds in the pipeline contract leave these open;
 they are fixed here and documented in the README): 16 kHz audio, 25 ms /
 400-sample Hann window, 10 ms / 160-sample hop, 512-point FFT, 40
 triangular HTK-mel filters spanning 0-8 kHz, log floor 1e-10, orthonormal
-DCT-II, 30 cepstra kept. No pre-emphasis, no liftering.
+DCT-II, 30 cepstra kept. No pre-emphasis, no liftering. A clip must give
+at least two frames (560 samples).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ DELTA_WINDOW = 2
 
 
 class TooShortError(ValueError):
-    """Clip is shorter than one analysis window."""
+    """Clip gives fewer than two analysis frames."""
 
 
 @dataclass
@@ -90,9 +91,11 @@ def _dct() -> np.ndarray:
 
 
 def num_frames(n_samples: int) -> int:
-    if n_samples < WINDOW:
-        raise TooShortError("clip of %d samples is shorter than one %d-sample "
-                            "window" % (n_samples, WINDOW))
+    """Analysis frames in a clip of ``n_samples``. At least two are needed:
+    ``cmvn`` maps a lone frame to all zeros, whatever the audio."""
+    if n_samples < WINDOW + HOP:
+        raise TooShortError("clip of %d samples is shorter than two analysis "
+                            "frames (%d samples)" % (n_samples, WINDOW + HOP))
     return 1 + (n_samples - WINDOW) // HOP
 
 

@@ -270,13 +270,6 @@ class SaepModel:
         _, last = self.head(self.attention_pool(h), rng=rng)
         return tz.cross_entropy(self.output_logits(last, labels), labels)
 
-    def logits_eval(self, batch: np.ndarray) -> np.ndarray:
-        """Eval-mode class logits for a batch of chunks (for accuracy)."""
-        with tz.no_grad():
-            h = self.encode(Tensor(batch))
-            _, last = self.head(self.attention_pool(h))
-            return self.output_logits(last).data
-
     def extract_embedding(self, feats: FeatureSequence) -> SpeakerEmbedding:
         """Full-utterance, eval-mode embedding from the second hidden layer."""
         if feats.frames.shape[0] < 1:

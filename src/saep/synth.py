@@ -17,13 +17,12 @@ from typing import List, Tuple
 import numpy as np
 
 from .audio import write_wav
-from .features import TooShortError, num_frames
+from .features import SAMPLE_RATE, TooShortError, num_frames
 from .manifest import Manifest, save_manifest
 from .verification import Trial, save_trials
 
 __all__ = ["SynthCorpus", "synth_corpus"]
 
-SAMPLE_RATE = 16000
 FREQ_GRID = np.arange(300.0, 3500.0, 50.0)
 HARMONICS_PER_SPEAKER = 3
 SNR_DB = 20.0
@@ -105,13 +104,18 @@ def synth_corpus(out_dir, n_speakers: int = 10, utts_per_speaker: int = 20,
                  n_pairs_per_class: int = 500) -> SynthCorpus:
     """Generate WAVs, a manifest, and a balanced trial list under
     ``out_dir``, deterministically from ``seed``."""
+    for name, value, low in (("n_speakers", n_speakers, 1),
+                             ("utts_per_speaker", utts_per_speaker, 1),
+                             ("n_pairs_per_class", n_pairs_per_class, 0)):
+        if value < low:
+            raise ValueError("%s must be >= %d, got %r" % (name, low, value))
     n_triples = math.comb(len(FREQ_GRID), HARMONICS_PER_SPEAKER)
     if n_speakers > n_triples:
         raise ValueError("cannot draw %d speakers: the frequency grid has "
                          "only %d distinct triples" % (n_speakers, n_triples))
     if not math.isfinite(duration):
         raise ValueError("duration must be finite, got %r" % duration)
-    try:  # every clip must give the front end at least one frame
+    try:  # every clip must give the front end two frames
         num_frames(int(round(duration * SAMPLE_RATE)))
     except TooShortError as exc:
         raise TooShortError("duration %g s: %s" % (duration, exc)) from None

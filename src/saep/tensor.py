@@ -43,7 +43,6 @@ __all__ = [
     "dropout",
     "cross_entropy",
     "l2_normalize",
-    "tsum",
 ]
 
 
@@ -78,8 +77,8 @@ def no_grad():
 def compute_dtype(dtype):
     """Temporarily change the storage dtype of newly created tensors.
 
-    Used by the gradient checker to widen accumulation to float64; the
-    production dtype is float32.
+    The benchmark runs its float64 reference training step under it (tests
+    widen gradient checks the same way); the production dtype is float32.
     """
     global _DTYPE
     prev = _DTYPE
@@ -467,13 +466,3 @@ def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
 
     return Tensor._from_op(y, (x,), backward)
 
-
-def tsum(a) -> Tensor:
-    a = _as_tensor(a)
-    out = _DTYPE(a.data.sum(dtype=np.float64))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, _DTYPE(g)))
-
-    return Tensor._from_op(out, (a,), backward)

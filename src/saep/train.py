@@ -20,7 +20,7 @@ from .optim import AdamState, adam_step
 from .tensor import NonFiniteError
 
 __all__ = ["TrainConfig", "TrainingDiverged", "make_batch", "train",
-           "check_resume_step", "chunk_accuracy"]
+           "check_resume_step"]
 
 CHUNK_FRAMES = 300
 
@@ -129,19 +129,3 @@ def _snapshot(model: SaepModel, opt: AdamState, step: int, seed: int,
     return Checkpoint(config=model.config, params=params, opt=opt_copy,
                       step=step, seed=seed, speakers=speakers)
 
-
-def chunk_accuracy(manifest: Manifest, features: Dict[str, FeatureSequence],
-                   model: SaepModel, seed: int = 0,
-                   batch_size: int = 32) -> float:
-    """Eval-mode chunk-level classification accuracy over the manifest."""
-    rng = np.random.default_rng(seed)
-    correct = 0
-    for lo in range(0, len(manifest), batch_size):
-        entries = manifest.entries[lo:lo + batch_size]
-        batch = np.stack([chunk(features[utt_id], CHUNK_FRAMES, rng)
-                          for utt_id, _, _ in entries])
-        logits = model.logits_eval(batch)
-        preds = logits.argmax(axis=-1)
-        labels = [manifest.label_map[spk] for _, spk, _ in entries]
-        correct += int((preds == np.asarray(labels)).sum())
-    return correct / len(manifest)

@@ -7,7 +7,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, compute_dtype, no_grad
+from saep.tensor import Tensor, compute_dtype, no_grad
 
 __all__ = ["GradCheckReport", "gradient_check"]
 

@@ -1,12 +1,18 @@
 """Reference ops for tests: ``matmul``, ``transpose`` and ``softmax_rows``
 as separate graph nodes, and attention composed from them. The model uses
 the fused ``tz.attention``; these are the slow, obvious compositions that
-tests check it against."""
+tests check it against.
+
+Also the pieces only tests use: ``tsum``, the scalar that gradient checks
+differentiate, and ``chunk_accuracy``, the eval-mode classification
+accuracy that criterion 5 gates on."""
 
 import numpy as np
 
 from saep import tensor as tz
+from saep.features import chunk
 from saep.tensor import DimensionError, Tensor, _as_tensor, _unbroadcast
+from saep.train import CHUNK_FRAMES
 
 
 def matmul(a, b) -> Tensor:
@@ -63,3 +69,38 @@ def composed_attention(q, k, v):
     """Attention as separate graph nodes: the reference for the fused op."""
     scores = tz.mul(matmul(q, transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
     return matmul(softmax_rows(scores), v)
+
+
+def tsum(a) -> Tensor:
+    """Sum of every element, accumulated in float64 and stored in the
+    storage dtype current at the call (so ``compute_dtype`` reaches it)."""
+    a = _as_tensor(a)
+    out = tz._DTYPE(a.data.sum(dtype=np.float64))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.full_like(a.data, tz._DTYPE(g)))
+
+    return Tensor._from_op(out, (a,), backward)
+
+
+def eval_logits(model, batch: np.ndarray) -> np.ndarray:
+    """Eval-mode class logits for a batch of chunks."""
+    with tz.no_grad():
+        _, last = model.head(model.attention_pool(model.encode(Tensor(batch))))
+        return model.output_logits(last).data
+
+
+def chunk_accuracy(manifest, features, model, seed: int = 0,
+                   batch_size: int = 32) -> float:
+    """Eval-mode chunk-level classification accuracy over the manifest."""
+    rng = np.random.default_rng(seed)
+    correct = 0
+    for lo in range(0, len(manifest), batch_size):
+        entries = manifest.entries[lo:lo + batch_size]
+        batch = np.stack([chunk(features[utt_id], CHUNK_FRAMES, rng)
+                          for utt_id, _, _ in entries])
+        preds = eval_logits(model, batch).argmax(axis=-1)
+        labels = [manifest.label_map[spk] for _, spk, _ in entries]
+        correct += int((preds == np.asarray(labels)).sum())
+    return correct / len(manifest)

@@ -11,14 +11,16 @@ from saep.cache import features_for_manifest
 from saep.checkpoint import load_checkpoint, model_from_checkpoint
 from saep.cli import main
 from saep.features import FeatureSequence
-from saep.gradcheck import gradient_check
 from saep.manifest import load_manifest
 from saep.model import LOSS_AM_SOFTMAX, ModelConfig, SaepModel, \
     count_params, init_model
 from saep.tensor import Tensor
-from saep.train import TrainConfig, chunk_accuracy, train
+from saep.train import TrainConfig, train
 from saep.verification import ScoredTrial, compute_eer, load_trials, \
     score_trials
+
+from gradcheck import gradient_check
+from reference_ops import chunk_accuracy
 
 
 def report(capsys, name, ok, detail=""):

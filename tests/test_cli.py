@@ -1,9 +1,13 @@
+import ast
+import functools
 import importlib
 import os
 import pkgutil
+import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,12 @@ import pytest
 import saep
 import saep.model
 from saep.audio import write_wav
+from saep.cache import features_for_manifest
 from saep.checkpoint import load_checkpoint, read_records, write_records, \
     speaker_fingerprint
 from saep.cli import main
 from saep.config import RunConfigError, build_configs, parse_run_config
+from saep.features import TooShortError
 from saep.manifest import load_manifest
 from saep.records import CheckpointFormatError
 from saep.synth import FREQ_GRID, _draw_speakers, synth_corpus
@@ -465,16 +471,24 @@ class TestErrors:
         (["--n-speakers", "41665"], "cannot draw 41665 speakers: the "
          "frequency grid has only 41664 distinct triples"),
         (["--duration", "-1"], "duration -1 s: clip of -16000 samples is "
-         "shorter than one 400-sample window"),
+         "shorter than two analysis frames (560 samples)"),
         (["--duration", "0"], "duration 0 s: clip of 0 samples is shorter "
-         "than one 400-sample window"),
+         "than two analysis frames (560 samples)"),
         (["--duration", "0.01"], "duration 0.01 s: clip of 160 samples is "
-         "shorter than one 400-sample window"),
+         "shorter than two analysis frames (560 samples)"),
+        (["--duration", "0.025"], "duration 0.025 s: clip of 400 samples is "
+         "shorter than two analysis frames (560 samples)"),
         (["--duration", "nan"], "duration must be finite, got nan"),
         (["--duration", "inf"], "duration must be finite, got inf"),
+        (["--n-speakers", "0", "--trial-pairs", "0"],
+         "n_speakers must be >= 1, got 0"),
+        (["--utts-per-speaker", "0", "--trial-pairs", "0"],
+         "utts_per_speaker must be >= 1, got 0"),
+        (["--trial-pairs", "-4"], "n_pairs_per_class must be >= 0, got -4"),
     ], ids=["more_speakers_than_triples", "negative_duration",
-            "zero_duration", "duration_below_one_window", "nan_duration",
-            "infinite_duration"])
+            "zero_duration", "duration_below_one_window",
+            "duration_of_one_frame", "nan_duration", "infinite_duration",
+            "no_speakers", "no_utterances", "negative_trial_pairs"])
     def test_synth_rejects_impossible_input(self, tmp_path, argv, fragment):
         # In a child process with a timeout: drawing more distinct triples
         # than the grid holds would never end.
@@ -558,7 +572,8 @@ class TestErrors:
         assert os.listdir(cache) == []
 
     @pytest.mark.parametrize("n_samples,rate,fragment", [
-        (100, 16000, "clip of 100 samples is shorter than one 400-sample"),
+        (100, 16000,
+         "clip of 100 samples is shorter than two analysis frames"),
         (16000, 8000, "expected 16000 Hz audio, got 8000 Hz"),
     ], ids=["too_short", "wrong_rate"])
     def test_front_end_error_names_the_wav(self, tmp_path, mini_corpus,
@@ -598,7 +613,8 @@ class TestErrors:
         {"frames": np.zeros((5, 90))},
         {"feats": np.zeros((5, 91))},
         {"feats": np.zeros((0, 90))},
-    ], ids=["no_feats_record", "wrong_width", "no_frames"])
+        {"feats": np.zeros((1, 90))},
+    ], ids=["no_feats_record", "wrong_width", "no_frames", "one_frame"])
     def test_malformed_feature_cache_file(self, trained, tmp_path,
                                           mini_corpus, capsys, records):
         cache = tmp_path / "cache"
@@ -613,6 +629,28 @@ class TestErrors:
         assert rc == 1
         assert "error: %s: expected a T x 90 'feats' record" % bad in err
         assert "Traceback" not in err
+
+    def test_extract_rejects_a_one_frame_clip(self, trained, tmp_path):
+        """450 samples give one analysis frame, which cmvn would map to
+        all zeros: the front end refuses it and names the WAV."""
+        wav = tmp_path / "short.wav"
+        write_wav(wav, np.random.default_rng(0).uniform(-0.5, 0.5, 450)
+                  .astype(np.float32), 16000)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("short spk000 short.wav\n")
+        out = tmp_path / "e.bin"
+        done = subprocess.run(
+            [sys.executable, "-m", "saep", "extract",
+             "--checkpoint", str(trained / "model.ckpt"),
+             "--manifest", str(manifest), "--out", str(out)],
+            env=child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == ("error: %s: clip of 450 samples is shorter "
+                               "than two analysis frames (560 samples)\n"
+                               % wav)
+        assert not out.exists()
+        with pytest.raises(TooShortError, match=str(wav)):
+            features_for_manifest(load_manifest(manifest))
 
     @pytest.mark.parametrize("shape", [(3, 3), ()], ids=["matrix", "rank_0"])
     def test_score_non_vector_embeddings(self, tmp_path, capsys, shape):
@@ -709,14 +747,98 @@ class TestRecordFiles:
         assert message.startswith("%s: " % path) and fragment in message
 
 
+MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(saep.__path__)
+                 if name != "__main__")
+
+
+def _names_in(node):
+    """Bare names, and attribute names both bare and as ``.attr``: only the
+    latter reach a method, so a local variable cannot keep one alive."""
+    attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | attrs | {"." + attr for attr in attrs})
+
+
+def _public_methods(cls):
+    return [item for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+@functools.lru_cache(maxsize=None)
+def _live_names():
+    """Every name the CLI or the benchmark can reach.
+
+    The roots are every word in ``benchmarks/`` (its tracer names functions
+    in strings) and the module-level statements of ``src/saep`` that are not
+    definitions, such as ``__main__``'s call of ``main``. A top-level
+    function, class or assignment is live once live code names it, and a
+    public method once live code names it after a dot, on any object; it
+    then names what its own code names. Dunder methods run with their
+    class. Tests are not roots.
+    """
+    src = Path(saep.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    roots = set()
+    for path in bench.glob("*.py"):
+        words = set(re.findall(r"\w+", path.read_text()))
+        roots |= words | {"." + word for word in words}
+    defs = {}
+    for path in src.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(stmt.name, []).append(_names_in(stmt))
+            elif isinstance(stmt, ast.ClassDef):
+                methods = _public_methods(stmt)
+                for item in methods:
+                    defs.setdefault("." + item.name, []).append(
+                        _names_in(item))
+                own = set()
+                for part in stmt.bases + stmt.keywords + stmt.decorator_list \
+                        + [i for i in stmt.body if i not in methods]:
+                    own |= _names_in(part)
+                defs.setdefault(stmt.name, []).append(own)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                names = set().union(*map(_names_in, targets))
+                if names != {"__all__"}:
+                    for name in names:
+                        defs.setdefault(name, []).append(
+                            _names_in(stmt.value) if stmt.value else set())
+            else:  # runs on import; an import itself names no ast.Name
+                roots |= _names_in(stmt)
+    live, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            for names in defs.get(name, ()):
+                todo.extend(names - live)
+    return live
+
+
 class TestLayering:
-    @pytest.mark.parametrize("module", sorted(
-        name for _, name, _ in pkgutil.iter_modules(saep.__path__)
-        if name != "__main__"))
+    @pytest.mark.parametrize("module", MODULES)
     def test_every_export_exists(self, module):
         mod = importlib.import_module("saep." + module)
         assert [name for name in getattr(mod, "__all__", ())
                 if not hasattr(mod, name)] == []
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_every_export_is_reached_outside_tests(self, module):
+        """``src/`` holds only what the CLI and the benchmark run: code that
+        only tests call belongs under ``tests/``."""
+        mod = importlib.import_module("saep." + module)
+        exports = getattr(mod, "__all__", ())
+        live = _live_names()
+        unreached = [name for name in exports if name not in live]
+        unreached += [
+            cls.name + "." + item.name
+            for cls in ast.parse(Path(mod.__file__).read_text()).body
+            if isinstance(cls, ast.ClassDef) and cls.name in exports
+            for item in _public_methods(cls) if "." + item.name not in live]
+        assert unreached == []
 
     @pytest.mark.parametrize("modules,below", [
         ("saep.verification, saep.records",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from saep import features
 from saep.audio import AudioClip, AudioFormatError, ChannelCountError, \
@@ -76,9 +76,14 @@ class TestMfcc:
 
     @pytest.mark.parametrize("n_samples", [400, 401, 559, 560, 561, 16000])
     def test_frame_count_formula(self, n_samples):
+        """400-559 samples give one frame, which the front end refuses."""
         clip = AudioClip(np.random.default_rng(0)
                          .uniform(-0.1, 0.1, n_samples).astype(np.float32),
                          16000)
+        if n_samples < 560:
+            with pytest.raises(TooShortError, match="two analysis frames"):
+                mfcc(clip)
+            return
         assert mfcc(clip).shape[0] == 1 + (n_samples - 400) // 160
         assert mfcc(clip).shape[0] == num_frames(n_samples)
 
@@ -221,6 +226,23 @@ def test_compute_features_width_and_normalization():
     feats = compute_features(tone(700.0, duration=2.0), "tone")
     assert feats.frames.shape[1] == 90
     assert np.abs(feats.frames.mean(axis=0)).max() < 1e-4
+
+
+@given(n=st.integers(0, 4000), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=559, seed=0)
+@example(n=560, seed=0)
+def test_front_end_needs_two_frames(n, seed):
+    """Uniform noise of any length either is refused as too short, exactly
+    below two frames, or gives at least two feature rows, not all zero."""
+    clip = AudioClip(np.random.default_rng(seed).uniform(-0.5, 0.5, n)
+                     .astype(np.float32), 16000)
+    if n < 560:
+        with pytest.raises(TooShortError):
+            compute_features(clip)
+        return
+    frames = compute_features(clip).frames
+    assert frames.shape[0] == num_frames(n) >= 2
+    assert np.abs(frames).max() > 0.0
 
 
 def test_feature_sequence_rejects_wrong_width():

@@ -15,7 +15,9 @@ from saep.manifest import Manifest, ManifestError, load_manifest, \
 from saep.model import LOSS_AM_SOFTMAX, LOSS_SOFTMAX, ModelConfig, \
     count_params, init_model, param_shapes
 from saep.optim import AdamState
-from saep.train import TrainConfig, chunk_accuracy, make_batch, train
+from saep.train import TrainConfig, make_batch, train
+
+from reference_ops import chunk_accuracy
 
 
 def toy_corpus(n_speakers=3, utts=4, t=320, seed=0):
