@@ -1,14 +1,14 @@
-"""PCM WAV reading and writing (16-bit mono only)."""
+"""PCM WAV reading and writing (16-bit mono only; 16 kHz to read)."""
 
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AudioClip", "AudioFormatError", "ChannelCountError",
-           "load_audio", "write_wav"]
+from .features import SAMPLE_RATE
+
+__all__ = ["AudioFormatError", "ChannelCountError", "load_audio", "write_wav"]
 
 _INT16_SCALE = 32768.0
 
@@ -21,18 +21,9 @@ class ChannelCountError(AudioFormatError):
     """The file is not mono."""
 
 
-@dataclass
-class AudioClip:
-    samples: np.ndarray  # float32 in [-1, 1]
-    sample_rate: int
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-
-def load_audio(path) -> AudioClip:
-    """Read a 16-bit mono PCM WAV file, scaling samples by 1/32768."""
+def load_audio(path) -> np.ndarray:
+    """Read a 16-bit mono 16 kHz PCM WAV file as float32 samples in
+    [-1, 1), scaled by 1/32768."""
     try:
         with wave.open(str(path), "rb") as wf:
             n_channels = wf.getnchannels()
@@ -46,13 +37,15 @@ def load_audio(path) -> AudioClip:
             if wf.getcomptype() != "NONE":
                 raise AudioFormatError(
                     "%s: unsupported compression %r" % (path, wf.getcomptype()))
-            rate = wf.getframerate()
+            if wf.getframerate() != SAMPLE_RATE:
+                raise AudioFormatError(
+                    "%s: expected %d Hz audio, got %d Hz"
+                    % (path, SAMPLE_RATE, wf.getframerate()))
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise AudioFormatError("%s: not a PCM WAV file (%s)" % (path, exc))
     pcm = np.frombuffer(raw, dtype="<i2")
-    samples = (pcm.astype(np.float32) / np.float32(_INT16_SCALE))
-    return AudioClip(samples=samples, sample_rate=rate)
+    return pcm.astype(np.float32) / np.float32(_INT16_SCALE)
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:

@@ -47,9 +47,9 @@ def features_for_manifest(manifest: Manifest,
             out[utt_id] = load_feature_cache(cache_path, utt_id)
             continue
         wav_path = os.path.join(manifest.base_dir, wav_path)
-        clip = load_audio(wav_path)
+        samples = load_audio(wav_path)
         try:
-            feats = compute_features(clip, utterance_id=utt_id)
+            feats = compute_features(samples, utterance_id=utt_id)
         except ValueError as exc:
             raise type(exc)("%s: %s" % (wav_path, exc)) from None
         if cache_path is not None:

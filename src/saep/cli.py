@@ -99,27 +99,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_run_config(path):
-    from .config import parse_run_config
-    if path is None:
-        return {"model": {}, "train": {}}
-    return parse_run_config(path)
-
-
 def _cmd_train(args) -> int:
     from .cache import features_for_manifest
     from .checkpoint import load_checkpoint, model_from_checkpoint, \
         speaker_fingerprint
-    from .config import build_configs
+    from .config import load_run_config
     from .manifest import load_manifest
     from .model import init_model
     from .train import check_resume_step, train
 
     manifest = load_manifest(args.manifest)
-    sections = _load_run_config(args.config)
-    model_config, train_config = build_configs(
-        sections, n_speakers=manifest.n_speakers,
-        steps=args.steps, seed=args.seed)
+    model_config, train_config = load_run_config(
+        args.config, manifest.n_speakers, steps=args.steps, seed=args.seed)
     if args.resume is not None:
         ckpt = load_checkpoint(args.resume)
         check_resume_step(ckpt.step, train_config)
@@ -211,10 +202,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count_params(args) -> int:
-    from .config import build_configs
+    from .config import load_run_config
     from .model import count_params, param_breakdown
-    sections = _load_run_config(args.config)
-    model_config, _ = build_configs(sections, n_speakers=args.n_speakers)
+    model_config, _ = load_run_config(args.config, args.n_speakers)
     breakdown = param_breakdown(model_config)
     print("component        parameters")
     for component in ("encoder", "pooling", "head", "output"):

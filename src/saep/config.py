@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import fields
-from typing import Dict, Optional, Tuple, get_type_hints
+from typing import Optional, Tuple, get_type_hints
 
 from .model import ModelConfig, LOSS_SOFTMAX, LOSS_AM_SOFTMAX
 from .train import TrainConfig
 
-__all__ = ["RunConfigError", "parse_run_config", "build_configs"]
+__all__ = ["RunConfigError", "load_run_config"]
 
 
 class RunConfigError(ValueError):
@@ -21,23 +22,29 @@ def _parse_loss(text: str) -> str:
     return text
 
 
-# key -> (section, parser), one key per ModelConfig / TrainConfig field;
-# numeric values parse with the field's annotated type.
-_SCHEMA = {f.name: (section, _parse_loss if f.name == "loss"
+# key -> (config class, parser), one key per ModelConfig / TrainConfig
+# field; numeric values parse with the field's annotated type. The input
+# fixes two fields, so no file sets them: n_speakers is the manifest's
+# speaker count and d_m the front end's feature width.
+_SCHEMA = {f.name: (cls, _parse_loss if f.name == "loss"
                     else get_type_hints(cls)[f.name])
-           for section, cls in (("model", ModelConfig), ("train", TrainConfig))
-           for f in fields(cls)}
+           for cls in (ModelConfig, TrainConfig) for f in fields(cls)
+           if f.name not in ("n_speakers", "d_m")}
 
 
-def parse_run_config(path) -> Dict[str, Dict[str, object]]:
-    """Parse a key=value file into {'model': {...}, 'train': {...}}.
+def load_run_config(path, n_speakers: int, steps: Optional[int] = None,
+                    seed: Optional[int] = None
+                    ) -> Tuple[ModelConfig, TrainConfig]:
+    """Read a key=value file into checked configs; omitted keys, or every
+    key when ``path`` is None, take the dataclass defaults.
 
-    Unknown keys, duplicate keys, and unparseable values are errors that
-    name the offending line.
+    ``steps`` and ``seed`` are command-line overrides of the file. Unknown
+    keys, duplicate keys, and unparseable values are errors that name the
+    offending line.
     """
-    sections: Dict[str, Dict[str, object]] = {"model": {}, "train": {}}
-    seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    kwargs = {ModelConfig: {}, TrainConfig: {}}
+    with (io.StringIO() if path is None
+          else open(path, "r", encoding="utf-8")) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -50,41 +57,18 @@ def parse_run_config(path) -> Dict[str, Dict[str, object]]:
             if key not in _SCHEMA:
                 raise RunConfigError("%s:%d: unknown key %r"
                                      % (path, lineno, key))
-            if key in seen:
+            cls, parser = _SCHEMA[key]
+            if key in kwargs[cls]:
                 raise RunConfigError("%s:%d: duplicate key %r"
                                      % (path, lineno, key))
-            seen.add(key)
-            section, parser = _SCHEMA[key]
             try:
-                sections[section][key] = parser(value)
+                kwargs[cls][key] = parser(value)
             except ValueError as exc:
                 raise RunConfigError("%s:%d: bad value for %r: %s"
                                      % (path, lineno, key, exc))
-    return sections
-
-
-def build_configs(sections: Dict[str, Dict[str, object]],
-                  n_speakers: Optional[int] = None,
-                  steps: Optional[int] = None,
-                  seed: Optional[int] = None
-                  ) -> Tuple[ModelConfig, TrainConfig]:
-    """Materialize configs, applying module defaults for omitted keys.
-
-    ``n_speakers`` (from the manifest) fills in when the file omits it;
-    ``steps`` and ``seed`` are command-line overrides.
-    """
-    model_kwargs = dict(sections.get("model", {}))
-    if "n_speakers" not in model_kwargs:
-        if n_speakers is None:
-            raise RunConfigError("n_speakers is not in the config and no "
-                                 "manifest was provided to derive it")
-        model_kwargs["n_speakers"] = n_speakers
-    train_kwargs = dict(sections.get("train", {}))
     if steps is not None:
-        train_kwargs["steps"] = steps
+        kwargs[TrainConfig]["steps"] = steps
     if seed is not None:
-        train_kwargs["seed"] = seed
-    train_kwargs.setdefault("steps", 1)
-    model_config = ModelConfig(**model_kwargs).validate()
-    train_config = TrainConfig(**train_kwargs).validate()
-    return model_config, train_config
+        kwargs[TrainConfig]["seed"] = seed
+    return (ModelConfig(n_speakers=n_speakers, **kwargs[ModelConfig])
+            .validate(), TrainConfig(**kwargs[TrainConfig]).validate())

@@ -15,8 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioClip
-
 __all__ = ["FeatureSequence", "TooShortError", "mfcc", "append_deltas",
            "cmvn", "chunk", "compute_features",
            "SAMPLE_RATE", "WINDOW", "HOP", "N_FFT", "N_MELS", "N_CEPS",
@@ -99,12 +97,10 @@ def num_frames(n_samples: int) -> int:
     return 1 + (n_samples - WINDOW) // HOP
 
 
-def mfcc(clip: AudioClip) -> np.ndarray:
-    """30 MFCCs per 25 ms frame with 10 ms hop; returns T x 30 float32."""
-    if clip.sample_rate != SAMPLE_RATE:
-        raise ValueError("expected %d Hz audio, got %d Hz"
-                         % (SAMPLE_RATE, clip.sample_rate))
-    x = np.asarray(clip.samples, dtype=np.float32)
+def mfcc(samples: np.ndarray) -> np.ndarray:
+    """30 MFCCs per 25 ms frame with 10 ms hop from 16 kHz samples;
+    returns T x 30 float32."""
+    x = np.asarray(samples, dtype=np.float32)
     num_frames(len(x))  # raises TooShortError
     # The windows as a strided view, so no T x WINDOW index array is built.
     windows = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
@@ -162,7 +158,8 @@ def chunk(feats: FeatureSequence, length: int,
     return frames[np.arange(length) % t]
 
 
-def compute_features(clip: AudioClip, utterance_id: str = "") -> FeatureSequence:
-    """Full front end: MFCC -> +deltas -> CMVN."""
-    return FeatureSequence(frames=cmvn(append_deltas(mfcc(clip))),
+def compute_features(samples: np.ndarray,
+                     utterance_id: str = "") -> FeatureSequence:
+    """Full front end on 16 kHz samples: MFCC -> +deltas -> CMVN."""
+    return FeatureSequence(frames=cmvn(append_deltas(mfcc(samples))),
                            utterance_id=utterance_id)

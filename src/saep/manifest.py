@@ -16,13 +16,12 @@ class ManifestError(ValueError):
 @dataclass
 class Manifest:
     entries: List[Tuple[str, str, str]]  # (utterance_id, speaker, wav_path)
-    label_map: Dict[str, int] = field(default_factory=dict)
+    label_map: Dict[str, int] = field(init=False)  # speaker -> index, sorted
     base_dir: str = ""  # relative wav paths resolve against this
 
     def __post_init__(self):
-        if not self.label_map:
-            speakers = sorted({spk for _, spk, _ in self.entries})
-            self.label_map = {spk: i for i, spk in enumerate(speakers)}
+        speakers = sorted({spk for _, spk, _ in self.entries})
+        self.label_map = {spk: i for i, spk in enumerate(speakers)}
 
     @property
     def n_speakers(self) -> int:

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import tensor as tz
-from .features import FeatureSequence
+from .features import FEATURE_DIM, FeatureSequence
 from .tensor import Tensor
 from .verification import SpeakerEmbedding
 
@@ -48,7 +48,7 @@ def stored_float(value: float) -> np.float32:
 class ModelConfig:
     n_speakers: int
     n_blocks: int = 2
-    d_m: int = 90
+    d_m: int = FEATURE_DIM
     d_k: int = 512
     d_v: int = 512
     d_ff: int = 2048

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 

@@ -31,7 +31,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    steps: int
+    steps: int = 1
     batch_size: int = 32
     seed: int = 0
     checkpoint_every: int = 0  # 0 disables periodic checkpoints

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import saep
 import saep.model
@@ -19,11 +20,13 @@ from saep.cache import features_for_manifest
 from saep.checkpoint import load_checkpoint, read_records, write_records, \
     speaker_fingerprint
 from saep.cli import main
-from saep.config import RunConfigError, build_configs, parse_run_config
+from saep.config import _SCHEMA, RunConfigError, load_run_config
 from saep.features import TooShortError
 from saep.manifest import load_manifest
+from saep.model import ModelConfig
 from saep.records import CheckpointFormatError
 from saep.synth import FREQ_GRID, _draw_speakers, synth_corpus
+from saep.train import TrainConfig
 from saep.verification import load_trials
 
 
@@ -105,43 +108,87 @@ class TestSynth:
         assert load_checkpoint(tmp_path / "m.ckpt").step == 1
 
 
+_sizes = st.integers(1, 10 ** 6)
+_fractions = st.floats(0, 0.99)
+_positives = st.floats(1e-30, 1e30)
+# A valid value for each of the 18 run-config keys.
+VALID_VALUES = dict(
+    n_blocks=_sizes, d_k=_sizes, d_v=_sizes, d_ff=_sizes, embed_dim=_sizes,
+    encoder_dropout=_fractions, head_dropout=_fractions,
+    loss=st.sampled_from(["softmax", "am_softmax"]), am_scale=_positives,
+    am_margin=st.floats(0, 1e30), steps=_sizes, batch_size=_sizes,
+    seed=st.integers(0, 2 ** 64 - 1), checkpoint_every=st.integers(0, 10 ** 6),
+    lr=st.floats(0, 1e30), beta1=_fractions, beta2=_fractions, eps=_positives)
+
+
 class TestRunConfig:
     def test_parse_sections(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(TRAIN_CONFIG)
-        sections = parse_run_config(path)
-        assert sections["model"]["d_ff"] == 16
-        assert sections["train"]["steps"] == 2
+        model_cfg, train_cfg = load_run_config(path, 3)
+        assert (model_cfg.n_speakers, model_cfg.d_ff) == (3, 16)
+        assert train_cfg.steps == 2
 
     @pytest.mark.parametrize("line,fragment", [
         ("frobnicate = 3", "unknown key"),
         ("d_k = banana", "bad value"),
         ("just words", "key = value"),
+        ("n_speakers = 2", "unknown key"),
+        ("d_m = 90", "unknown key"),
     ])
     def test_bad_line_reports_position(self, tmp_path, line, fragment):
         path = tmp_path / "bad.cfg"
-        path.write_text("d_m = 90\n%s\n" % line)
+        path.write_text("n_blocks = 1\n%s\n" % line)
         with pytest.raises(RunConfigError, match="2") as exc:
-            parse_run_config(path)
+            load_run_config(path, 3)
         assert fragment in str(exc.value)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.cfg"
         path.write_text("d_k = 8\nd_k = 16\n")
         with pytest.raises(RunConfigError, match="duplicate"):
-            parse_run_config(path)
+            load_run_config(path, 3)
 
-    def test_build_configs_overrides(self):
-        model_cfg, train_cfg = build_configs(
-            {"model": {"d_k": 8}, "train": {"steps": 5, "seed": 1}},
-            n_speakers=12, steps=9, seed=2)
+    def test_build_configs_overrides(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("d_k = 8\nsteps = 5\nseed = 1\n")
+        model_cfg, train_cfg = load_run_config(path, 12, steps=9, seed=2)
         assert model_cfg.n_speakers == 12
         assert model_cfg.d_k == 8
         assert (train_cfg.steps, train_cfg.seed) == (9, 2)
 
-    def test_build_configs_needs_speaker_count(self):
-        with pytest.raises(RunConfigError, match="n_speakers"):
-            build_configs({"model": {}, "train": {}})
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n_speakers=st.integers(1, 50),
+           steps=st.none() | _sizes,
+           seed=st.none() | st.integers(0, 2 ** 64 - 1))
+    def test_any_valid_file_loads_as_its_dataclasses(
+            self, tmp_path, data, n_speakers, steps, seed):
+        """Any subset of the keys, in any order, among comments and blank
+        lines, gives the configs built from those keys directly, and the
+        command-line overrides win over the file."""
+        assert set(VALID_VALUES) == set(_SCHEMA)
+        keys = data.draw(st.lists(st.sampled_from(sorted(VALID_VALUES)),
+                                  unique=True), label="keys")
+        values = {key: data.draw(VALID_VALUES[key], label=key)
+                  for key in keys}
+        lines = []
+        for key in keys:
+            lines += data.draw(st.lists(st.sampled_from(
+                ["", "  ", "# a comment", "# n_speakers = 2"]), max_size=2))
+            lines.append(data.draw(st.sampled_from(
+                ["%s = %s", "%s=%s", " %s\t=  %s  # why"]))
+                % (key, values[key]))
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(line + "\n" for line in lines))
+        model = {k: v for k, v in values.items()
+                 if k in ModelConfig.__dataclass_fields__}
+        train = {k: v for k, v in values.items() if k not in model}
+        train.update({k: v for k, v in (("steps", steps), ("seed", seed))
+                      if v is not None})
+        assert load_run_config(path, n_speakers, steps=steps, seed=seed) \
+            == (ModelConfig(n_speakers=n_speakers, **model).validate(),
+                TrainConfig(**train).validate())
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +275,16 @@ class TestCountParams:
         assert main(["count-params", "--config", str(cfg)]) == 0
         assert "total (embedding-extractor): 462348" \
             in capsys.readouterr().out
+
+    def test_config_cannot_set_the_speaker_count(self, tmp_path, capsys):
+        """The output width comes from ``--n-speakers`` alone."""
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("n_speakers = 5\n")
+        assert main(["count-params", "--config", str(cfg),
+                     "--n-speakers", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s:1: unknown key 'n_speakers'\n" % cfg
+        assert captured.out == ""
 
     def test_builds_no_model(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -559,6 +616,24 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "r.ckpt").exists()
 
+    def test_config_cannot_set_the_speaker_count(self, tmp_path,
+                                                 mini_corpus, capsys):
+        """The manifest fixes the speaker count. A config that claimed fewer
+        would fail inside the loss with a traceback, and one that claimed
+        more would train a checkpoint its own manifest cannot resume."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_speakers = 2\n" + TRAIN_CONFIG)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--config", str(cfg),
+                   "--manifest", mini_corpus.manifest_path,
+                   "--feature-cache", str(cache), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: %s:1: unknown key 'n_speakers'\n" % cfg
+        assert os.listdir(cache) == [] and not out.exists()
+
     def test_resume_past_the_run_end_computes_no_features(
             self, trained, tmp_path, mini_corpus):
         cache = tmp_path / "cache"
@@ -839,6 +914,29 @@ class TestLayering:
             if isinstance(cls, ast.ClassDef) and cls.name in exports
             for item in _public_methods(cls) if "." + item.name not in live]
         assert unreached == []
+
+    def test_no_unused_imports(self):
+        """Every name an import binds in ``src/saep`` or ``tests`` is used,
+        or exported through ``__all__``."""
+        unused = []
+        for path in sorted([*Path(saep.__file__).parent.glob("*.py"),
+                            *Path(__file__).parent.glob("*.py")]):
+            tree = ast.parse(path.read_text())
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for stmt in tree.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__"
+                        for t in stmt.targets):
+                    used |= set(ast.literal_eval(stmt.value))
+            unused += ["%s: %s" % (path.name, bound)
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       and getattr(node, "module", None) != "__future__"
+                       for alias in node.names
+                       for bound in [alias.asname
+                                     or alias.name.partition(".")[0]]
+                       if bound not in used]
+        assert unused == []
 
     @pytest.mark.parametrize("modules,below", [
         ("saep.verification, saep.records",
