@@ -8,9 +8,12 @@ import numpy as np
 
 from .features import SAMPLE_RATE
 
-__all__ = ["AudioFormatError", "ChannelCountError", "load_audio", "write_wav"]
+__all__ = ["AudioFormatError", "ChannelCountError", "load_audio", "write_wav",
+           "MAX_SAMPLES"]
 
 _INT16_SCALE = 32768.0
+# The RIFF size field, a u32, counts 36 header bytes and 2 bytes a sample.
+MAX_SAMPLES = (2 ** 32 - 1 - 36) // 2
 
 
 class AudioFormatError(ValueError):

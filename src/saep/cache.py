@@ -23,14 +23,15 @@ def save_feature_cache(feats: FeatureSequence, path) -> None:
 
 
 def load_feature_cache(path, utterance_id: str) -> FeatureSequence:
-    frames = read_records(path).get("feats")
-    if frames is None or frames.ndim != 2 or len(frames) < 2 \
-            or frames.shape[1] != FEATURE_DIM:
-        raise CheckpointFormatError(
-            "%s: expected a T x %d 'feats' record with T >= 2, got %s"
-            % (path, FEATURE_DIM, "none" if frames is None
-               else "shape %s" % (frames.shape,)))
-    return FeatureSequence(frames=frames, utterance_id=utterance_id)
+    records = read_records(path)
+    try:
+        return FeatureSequence(records["feats"], utterance_id)
+    except KeyError:
+        detail = "the file holds none"
+    except ValueError as exc:
+        detail = str(exc)
+    raise CheckpointFormatError("%s: expected a T x %d 'feats' record: %s"
+                                % (path, FEATURE_DIM, detail))
 
 
 def features_for_manifest(manifest: Manifest,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import ModelConfig, SaepModel, param_shapes, LOSS_SOFTMAX, \
     LOSS_AM_SOFTMAX
-from .optim import AdamState
+from .optim import ADAM_SETTINGS, AdamState
 from .records import CheckpointFormatError, read_records, write_records
 from .tensor import Tensor
 
@@ -29,10 +29,9 @@ _LOSS_NAME = {v: k for k, v in _LOSS_CODE.items()}
 # order, each with the type it is read back as.
 _CFG_TYPES = {f.name: get_type_hints(ModelConfig)[f.name]
               for f in fields(ModelConfig)}
-_OPT_SCALARS = ("lr", "beta1", "beta2", "eps")
 # Every record of a checkpoint that is not a parameter or an Adam moment.
 _SCALAR_RECORDS = ({"cfg." + name for name in _CFG_TYPES}
-                   | {"opt." + name for name in _OPT_SCALARS
+                   | {"opt." + name for name in ADAM_SETTINGS
                       + ("step", "seed", "speakers")})
 
 
@@ -72,7 +71,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     records["opt.seed"] = _to_words(ckpt.seed)
     if ckpt.speakers is not None:
         records["opt.speakers"] = _to_words(ckpt.speakers)
-    for scalar in _OPT_SCALARS:
+    for scalar in ADAM_SETTINGS:
         records["opt." + scalar] = np.asarray([getattr(ckpt.opt, scalar)],
                                               dtype=np.float32)
     for name in sorted(ckpt.params):
@@ -143,7 +142,7 @@ def load_checkpoint(path) -> Checkpoint:
     step = _scalar(path, records, "opt.step", int)
     opt = _validated(path, "opt.", AdamState(step=step, **{
         name: _scalar(path, records, "opt." + name, float)
-        for name in _OPT_SCALARS}))
+        for name in ADAM_SETTINGS}))
     speakers = (_scalar(path, records, "opt.speakers", int)
                 if "opt.speakers" in records else None)
     shapes = param_shapes(config)
@@ -166,11 +165,10 @@ def model_from_checkpoint(ckpt: Checkpoint) -> SaepModel:
     """A model holding float32 copies of the checkpoint's parameters."""
     shapes = param_shapes(ckpt.config)
     # The copies are what is checked, so a wider value that overflows
-    # float32 is caught, and the tensors need not scan them again.
+    # float32 is caught.
     with np.errstate(over="ignore"):
         params = {name: a.astype(np.float32)
                   for name, a in ckpt.params.items()}
     _check_params("checkpoint", shapes, params)
     return SaepModel(ckpt.config, {
-        name: Tensor._checked(params[name], requires_grad=True)
-        for name in shapes})
+        name: Tensor(params[name], requires_grad=True) for name in shapes})

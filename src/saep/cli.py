@@ -109,10 +109,11 @@ def _cmd_train(args) -> int:
     from .train import check_resume_step, train
 
     manifest = load_manifest(args.manifest)
-    model_config, train_config = load_run_config(
-        args.config, manifest.n_speakers, steps=args.steps, seed=args.seed)
-    if args.resume is not None:
-        ckpt = load_checkpoint(args.resume)
+    ckpt = None if args.resume is None else load_checkpoint(args.resume)
+    model_config, train_config, opt = load_run_config(
+        args.config, manifest.n_speakers, steps=args.steps, seed=args.seed,
+        resume=ckpt)
+    if ckpt is not None:
         check_resume_step(ckpt.step, train_config)
         if ckpt.config.n_speakers != manifest.n_speakers:
             raise ValueError(
@@ -125,24 +126,21 @@ def _cmd_train(args) -> int:
                 "checkpoint %s was trained on other speaker names than "
                 "manifest %s has" % (args.resume, args.manifest))
         model = model_from_checkpoint(ckpt)
-        opt = ckpt.opt
-        train_config.seed = ckpt.seed
     else:
         model = init_model(model_config, seed=train_config.seed)
-        opt = None
-    features = features_for_manifest(manifest, args.feature_cache)
+    # Line-buffered, so each row is in the file as its step ends.
+    with open(args.loss_log or os.devnull, "w", buffering=1,
+              encoding="utf-8") as loss_log:
+        loss_log.write("step,loss\n")
+        features = features_for_manifest(manifest, args.feature_cache)
 
-    def log(step, loss):
-        if step % 50 == 0 or step == 1:
-            print("step %d loss %.4f" % (step, loss), flush=True)
+        def log(step, loss):
+            loss_log.write("%d,%.6f\n" % (step, loss))
+            if step % 50 == 0 or step == 1:
+                print("step %d loss %.4f" % (step, loss), flush=True)
 
-    _, trace = train(manifest, features, model, train_config, opt=opt,
-                     checkpoint_path=args.out, log=log)
-    if args.loss_log is not None:
-        with open(args.loss_log, "w", encoding="utf-8") as fh:
-            fh.write("step,loss\n")
-            for step, loss in trace:
-                fh.write("%d,%.6f\n" % (step, loss))
+        train(manifest, features, model, train_config, opt=opt,
+              checkpoint_path=args.out, log=log)
     print("wrote checkpoint %s" % args.out)
     return 0
 
@@ -204,7 +202,7 @@ def _cmd_eval(args) -> int:
 def _cmd_count_params(args) -> int:
     from .config import load_run_config
     from .model import count_params, param_breakdown
-    model_config, _ = load_run_config(args.config, args.n_speakers)
+    model_config, _, _ = load_run_config(args.config, args.n_speakers)
     breakdown = param_breakdown(model_config)
     print("component        parameters")
     for component in ("encoder", "pooling", "head", "output"):

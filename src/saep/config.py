@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import io
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Optional, Tuple, get_type_hints
 
-from .model import ModelConfig, LOSS_SOFTMAX, LOSS_AM_SOFTMAX
+from .checkpoint import Checkpoint
+from .model import ModelConfig, LOSS_SOFTMAX, LOSS_AM_SOFTMAX, stored_float
+from .optim import ADAM_SETTINGS, AdamState
 from .train import TrainConfig
 
 __all__ = ["RunConfigError", "load_run_config"]
@@ -23,52 +25,72 @@ def _parse_loss(text: str) -> str:
 
 
 # key -> (config class, parser), one key per ModelConfig / TrainConfig
-# field; numeric values parse with the field's annotated type. The input
-# fixes two fields, so no file sets them: n_speakers is the manifest's
-# speaker count and d_m the front end's feature width.
+# field and Adam setting; numeric values parse with the field's annotated
+# type. The input fixes two fields, so no file sets them: n_speakers is the
+# manifest's speaker count and d_m the front end's feature width.
 _SCHEMA = {f.name: (cls, _parse_loss if f.name == "loss"
                     else get_type_hints(cls)[f.name])
-           for cls in (ModelConfig, TrainConfig) for f in fields(cls)
-           if f.name not in ("n_speakers", "d_m")}
+           for cls in (ModelConfig, TrainConfig, AdamState) for f in fields(cls)
+           if f.name not in ("n_speakers", "d_m")
+           and (cls is not AdamState or f.name in ADAM_SETTINGS)}
+# The keys a resumed run may change; its checkpoint fixes every other one.
+_RUN_KEYS = ("steps", "batch_size", "checkpoint_every")
+
+
+def _stored(value):
+    """``value`` as a checkpoint stores it: a float as a float32."""
+    return stored_float(value) if isinstance(value, float) else value
 
 
 def load_run_config(path, n_speakers: int, steps: Optional[int] = None,
-                    seed: Optional[int] = None
-                    ) -> Tuple[ModelConfig, TrainConfig]:
+                    seed: Optional[int] = None,
+                    resume: Optional[Checkpoint] = None
+                    ) -> Tuple[ModelConfig, TrainConfig, AdamState]:
     """Read a key=value file into checked configs; omitted keys, or every
-    key when ``path`` is None, take the dataclass defaults.
+    key when ``path`` is None, keep the defaults, or on resume the values
+    of the checkpoint ``resume``.
 
-    ``steps`` and ``seed`` are command-line overrides of the file. Unknown
-    keys, duplicate keys, and unparseable values are errors that name the
-    offending line.
+    ``steps`` and ``seed`` override the file. Unknown keys, duplicate keys,
+    unparseable values and, on resume, a value other than the checkpoint's
+    as the float32 it stores are errors that name the offending line.
     """
-    kwargs = {ModelConfig: {}, TrainConfig: {}}
+    base = {type(config): config for config in (
+        (ModelConfig(n_speakers=n_speakers), TrainConfig(), AdamState())
+        if resume is None else
+        (resume.config, TrainConfig(seed=resume.seed), resume.opt))}
+    given = {}  # key -> (where it was set, value)
     with (io.StringIO() if path is None
           else open(path, "r", encoding="utf-8")) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = "%s:%d" % (path, lineno)
             if "=" not in line:
-                raise RunConfigError("%s:%d: expected 'key = value', got %r"
-                                     % (path, lineno, raw.rstrip()))
+                raise RunConfigError("%s: expected 'key = value', got %r"
+                                     % (where, raw.rstrip()))
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in _SCHEMA:
-                raise RunConfigError("%s:%d: unknown key %r"
-                                     % (path, lineno, key))
-            cls, parser = _SCHEMA[key]
-            if key in kwargs[cls]:
-                raise RunConfigError("%s:%d: duplicate key %r"
-                                     % (path, lineno, key))
+                raise RunConfigError("%s: unknown key %r" % (where, key))
+            if key in given:
+                raise RunConfigError("%s: duplicate key %r" % (where, key))
             try:
-                kwargs[cls][key] = parser(value)
+                given[key] = (where, _SCHEMA[key][1](value))
             except ValueError as exc:
-                raise RunConfigError("%s:%d: bad value for %r: %s"
-                                     % (path, lineno, key, exc))
-    if steps is not None:
-        kwargs[TrainConfig]["steps"] = steps
-    if seed is not None:
-        kwargs[TrainConfig]["seed"] = seed
-    return (ModelConfig(n_speakers=n_speakers, **kwargs[ModelConfig])
-            .validate(), TrainConfig(**kwargs[TrainConfig]).validate())
+                raise RunConfigError("%s: bad value for %r: %s"
+                                     % (where, key, exc))
+    for key, value in (("steps", steps), ("seed", seed)):
+        if value is not None:
+            given[key] = ("--" + key, value)
+    kwargs = {cls: {} for cls in base}
+    for key, (where, value) in given.items():
+        cls = _SCHEMA[key][0]
+        if resume is None or key in _RUN_KEYS:
+            kwargs[cls][key] = value
+        elif _stored(value) != _stored(getattr(base[cls], key)):
+            raise RunConfigError(
+                "%s: %s = %r, but the resumed checkpoint has %r"
+                % (where, key, value, getattr(base[cls], key)))
+    return tuple(replace(base[cls], **kwargs[cls]).validate()
+                 for cls in base)

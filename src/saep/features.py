@@ -38,14 +38,18 @@ class TooShortError(ValueError):
 
 @dataclass
 class FeatureSequence:
-    frames: np.ndarray  # T x 90 float32
+    frames: np.ndarray  # T x 90 float32, T >= 2, every value finite
     utterance_id: str
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float32)
-        if frames.ndim != 2 or frames.shape[1] != FEATURE_DIM:
-            raise ValueError("feature frames must be T x %d, got %s"
-                             % (FEATURE_DIM, frames.shape))
+        if frames.ndim != 2 or len(frames) < 2 \
+                or frames.shape[1] != FEATURE_DIM:
+            raise ValueError("frames of shape %s are not T x %d with T >= 2"
+                             % (frames.shape, FEATURE_DIM))
+        if not np.isfinite(frames).all():
+            raise ValueError("frame %d holds a non-finite value"
+                             % np.argwhere(~np.isfinite(frames))[0, 0])
         self.frames = frames
 
 
@@ -118,9 +122,6 @@ def append_deltas(static: np.ndarray) -> np.ndarray:
     Regression deltas over a +/-2 frame window with edge replication.
     """
     static = np.asarray(static, dtype=np.float32)
-    if static.ndim != 2:
-        raise ValueError("expected T x d static features, got %s"
-                         % (static.shape,))
     d1 = _delta(static)
     d2 = _delta(d1)
     return np.concatenate([static, d1, d2], axis=1)

@@ -261,19 +261,13 @@ class SaepModel:
         if train and rng is None:
             raise ValueError("a training forward pass needs an rng for its "
                              "dropout masks")
-        x = Tensor(batch)
-        if x.ndim != 3 or x.shape[-1] != self.config.d_m:
-            raise tz.DimensionError("expected B x T x %d batch, got %s"
-                                    % (self.config.d_m, x.shape))
         rng = rng if train else None
-        h = self.encode(x, rng=rng)
+        h = self.encode(Tensor(batch), rng=rng)
         _, last = self.head(self.attention_pool(h), rng=rng)
         return tz.cross_entropy(self.output_logits(last, labels), labels)
 
     def extract_embedding(self, feats: FeatureSequence) -> SpeakerEmbedding:
         """Full-utterance, eval-mode embedding from the second hidden layer."""
-        if feats.frames.shape[0] < 1:
-            raise ValueError("cannot embed an empty feature sequence")
         with tz.no_grad():
             h = self.encode(Tensor(feats.frames))
             embedding = self.head(self.attention_pool(h))[0]

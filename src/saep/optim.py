@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, get_type_hints
 
 import numpy as np
 
 from .model import stored_float
 from .tensor import Tensor
 
-__all__ = ["AdamState", "adam_step", "MissingGradientError"]
+__all__ = ["AdamState", "ADAM_SETTINGS", "adam_step",
+           "MissingGradientError"]
 
 
 class MissingGradientError(RuntimeError):
@@ -38,12 +39,16 @@ class AdamState:
             raise ValueError("lr must be finite and >= 0, got %r" % self.lr)
         if not 0.0 < stored_float(self.eps) < math.inf:
             raise ValueError("eps must be finite and > 0, got %r" % self.eps)
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= stored_float(value) < 1.0:
-                raise ValueError("%s must be in [0, 1), got %r"
-                                 % (name, value))
+        if not 0.0 <= stored_float(self.beta1) < 1.0:
+            raise ValueError("beta1 must be in [0, 1), got %r" % self.beta1)
+        if not 0.0 <= stored_float(self.beta2) < 1.0:
+            raise ValueError("beta2 must be in [0, 1), got %r" % self.beta2)
         return self
+
+
+# The float fields: the settings a run config sets and a checkpoint stores.
+ADAM_SETTINGS = tuple(name for name, kind in get_type_hints(AdamState).items()
+                      if kind is float)
 
 
 def adam_step(params: Dict[str, Tensor], state: AdamState) -> None:

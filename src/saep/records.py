@@ -54,12 +54,15 @@ def read_records(path) -> Dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def take(n: int, what: str) -> bytes:
+        def check(n: int, what: str) -> None:
             # Checked first, so a size beyond the file is never allocated.
             left = size - fh.tell()
             if n > left:
                 fail("truncated file: %s claims %d bytes but only %d remain"
                      % (what, n, left))
+
+        def take(n: int, what: str) -> bytes:
+            check(n, what)
             return fh.read(n)
 
         magic = take(4, "magic")
@@ -81,13 +84,13 @@ def read_records(path) -> Dict[str, np.ndarray]:
             (rank,) = struct.unpack("<I", take(4, "rank of %r" % name))
             shape = struct.unpack("<%dQ" % rank,
                                   take(8 * rank, "extents of %r" % name))
-            raw = take(4 * math.prod(shape), "data of %r" % name)
+            check(4 * math.prod(shape), "data of %r" % name)
             try:
-                records[name] = np.frombuffer(raw, dtype="<f4").reshape(
-                    shape).copy()
+                records[name] = np.empty(shape, dtype="<f4")
             except ValueError:  # e.g. extents (0, 2**63): no data, no array
                 fail("record %r has extents %s, too large for an array"
                      % (name, shape))
+            fh.readinto(records[name].reshape(-1))
         if fh.tell() != size:
             fail("%d bytes left over after the last of %d records"
                  % (size - fh.tell(), count))

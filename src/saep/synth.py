@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .audio import write_wav
+from .audio import MAX_SAMPLES, write_wav
 from .features import SAMPLE_RATE, TooShortError, num_frames
 from .manifest import Manifest, save_manifest
 from .verification import Trial, save_trials
@@ -115,8 +115,12 @@ def synth_corpus(out_dir, n_speakers: int = 10, utts_per_speaker: int = 20,
                          "only %d distinct triples" % (n_speakers, n_triples))
     if not math.isfinite(duration):
         raise ValueError("duration must be finite, got %r" % duration)
+    n_samples = int(round(duration * SAMPLE_RATE))
+    if n_samples > MAX_SAMPLES:
+        raise ValueError("duration %g s needs %d samples, more than a 16-bit "
+                         "WAV holds (%d)" % (duration, n_samples, MAX_SAMPLES))
     try:  # every clip must give the front end two frames
-        num_frames(int(round(duration * SAMPLE_RATE)))
+        num_frames(n_samples)
     except TooShortError as exc:
         raise TooShortError("duration %g s: %s" % (duration, exc)) from None
     # Trials are distinct ordered pairs of distinct utterances.

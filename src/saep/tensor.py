@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "NonFiniteError",
     "DimensionError",
     "no_grad",
     "add",
@@ -44,10 +43,6 @@ __all__ = [
     "cross_entropy",
     "l2_normalize",
 ]
-
-
-class NonFiniteError(ValueError):
-    """A tensor holds NaN or Inf, which the numeric contract forbids."""
 
 
 class DimensionError(ValueError):
@@ -95,38 +90,22 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_DTYPE)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(
-                "tensor contains non-finite values (shape %s)" % (arr.shape,)
-            )
-        self.data: np.ndarray = arr
+        self.data: np.ndarray = np.asarray(data, dtype=_DTYPE)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
 
     @classmethod
-    def _checked(cls, data: np.ndarray,
-                 requires_grad: bool = False) -> "Tensor":
-        """A tensor over ``data``, which the caller has already checked to
-        be finite and of the storage dtype; it is not scanned again."""
+    def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
+                 backward: Callable[[np.ndarray], None]) -> "Tensor":
+        # The op's array is kept as it is, with no copy or dtype conversion.
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = requires_grad
+        out.requires_grad = False
         out._parents = ()
         out._backward = None
-        return out
-
-    @classmethod
-    def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
-                 backward: Callable[[np.ndarray], None]) -> "Tensor":
-        # Interior nodes skip the finiteness scan: non-finite values can
-        # only enter through leaves, and they propagate to the scalar loss,
-        # which callers check. Re-scanning every intermediate would double
-        # the cost of a training step.
-        out = cls._checked(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -404,8 +383,6 @@ def dropout(x, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
     x = _as_tensor(x)
     if rng is None or rate == 0.0:
         return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1), got %r" % rate)
     # Compare in float32 so a rate that round-trips through float32
     # storage (e.g. in a checkpoint) yields bit-identical masks.
     rate32 = np.float32(rate)

@@ -17,7 +17,6 @@ from .features import FEATURE_DIM, FeatureSequence, chunk
 from .manifest import Manifest
 from .model import SaepModel
 from .optim import AdamState, adam_step
-from .tensor import NonFiniteError
 
 __all__ = ["TrainConfig", "TrainingDiverged", "make_batch", "train",
            "check_resume_step"]
@@ -35,10 +34,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def validate(self) -> "TrainConfig":
         if self.steps < 1:
@@ -51,7 +46,6 @@ class TrainConfig:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0, got %r"
                              % self.checkpoint_every)
-        AdamState(self.lr, self.beta1, self.beta2, self.eps).validate()
         return self
 
 
@@ -87,22 +81,19 @@ def train(manifest: Manifest, features: Dict[str, FeatureSequence],
           opt: Optional[AdamState] = None, checkpoint_path=None,
           log: Optional[Callable[[int, float], None]] = None
           ) -> Tuple[Checkpoint, List[Tuple[int, float]]]:
-    """Run steps ``opt.step+1 .. config.steps``, from step 1 without
-    ``opt``; returns the final checkpoint and the (step, loss) trace."""
+    """Run steps ``opt.step+1 .. config.steps``, from step 1 with the
+    default Adam settings without ``opt``; returns the final checkpoint and
+    the (step, loss) trace."""
     config.validate()
     if opt is None:
-        opt = AdamState(config.lr, config.beta1, config.beta2, config.eps)
+        opt = AdamState()
     check_resume_step(opt.step, config)
     trace: List[Tuple[int, float]] = []
     speakers = speaker_fingerprint(manifest.label_map)
     for step in range(opt.step + 1, config.steps + 1):
         rng = _step_rng(config.seed, step)
         batch, labels = make_batch(manifest, features, config.batch_size, rng)
-        try:
-            loss = model.forward_loss(batch, labels, train=True, rng=rng)
-        except NonFiniteError as exc:
-            raise TrainingDiverged("non-finite loss at step %d: %s"
-                                   % (step, exc)) from exc
+        loss = model.forward_loss(batch, labels, train=True, rng=rng)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise TrainingDiverged("non-finite loss at step %d" % step)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import importlib
 import os
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import saep
 import saep.model
+import saep.train
 from saep.audio import write_wav
 from saep.cache import features_for_manifest
 from saep.checkpoint import load_checkpoint, read_records, write_records, \
@@ -24,6 +26,7 @@ from saep.config import _SCHEMA, RunConfigError, load_run_config
 from saep.features import TooShortError
 from saep.manifest import load_manifest
 from saep.model import ModelConfig
+from saep.optim import ADAM_SETTINGS, AdamState
 from saep.records import CheckpointFormatError
 from saep.synth import FREQ_GRID, _draw_speakers, synth_corpus
 from saep.train import TrainConfig
@@ -125,9 +128,10 @@ class TestRunConfig:
     def test_parse_sections(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(TRAIN_CONFIG)
-        model_cfg, train_cfg = load_run_config(path, 3)
+        model_cfg, train_cfg, opt = load_run_config(path, 3)
         assert (model_cfg.n_speakers, model_cfg.d_ff) == (3, 16)
         assert train_cfg.steps == 2
+        assert opt == AdamState()
 
     @pytest.mark.parametrize("line,fragment", [
         ("frobnicate = 3", "unknown key"),
@@ -152,7 +156,7 @@ class TestRunConfig:
     def test_build_configs_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("d_k = 8\nsteps = 5\nseed = 1\n")
-        model_cfg, train_cfg = load_run_config(path, 12, steps=9, seed=2)
+        model_cfg, train_cfg, _ = load_run_config(path, 12, steps=9, seed=2)
         assert model_cfg.n_speakers == 12
         assert model_cfg.d_k == 8
         assert (train_cfg.steps, train_cfg.seed) == (9, 2)
@@ -183,12 +187,29 @@ class TestRunConfig:
         path.write_text("".join(line + "\n" for line in lines))
         model = {k: v for k, v in values.items()
                  if k in ModelConfig.__dataclass_fields__}
-        train = {k: v for k, v in values.items() if k not in model}
+        adam = {k: v for k, v in values.items() if k in ADAM_SETTINGS}
+        train = {k: v for k, v in values.items()
+                 if k not in model and k not in adam}
         train.update({k: v for k, v in (("steps", steps), ("seed", seed))
                       if v is not None})
         assert load_run_config(path, n_speakers, steps=steps, seed=seed) \
             == (ModelConfig(n_speakers=n_speakers, **model).validate(),
-                TrainConfig(**train).validate())
+                TrainConfig(**train).validate(),
+                AdamState(**adam).validate())
+
+    def test_every_key_is_a_field_and_resumes_from_a_checkpoint(
+            self, trained):
+        """The keys are the fields of the three dataclasses less the two
+        the input fixes, and every key a resumed run cannot change is a
+        cfg. or opt. record of the checkpoint it resumes."""
+        assert set(_SCHEMA) == ({f.name for f in dataclasses.fields(
+            ModelConfig)} - {"n_speakers", "d_m"}) | {
+            f.name for f in dataclasses.fields(TrainConfig)} \
+            | set(ADAM_SETTINGS)
+        records = read_records(trained / "model.ckpt")
+        assert [key for key in _SCHEMA if "cfg." + key not in records
+                and "opt." + key not in records] \
+            == ["steps", "batch_size", "checkpoint_every"]
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +558,8 @@ class TestErrors:
          "shorter than two analysis frames (560 samples)"),
         (["--duration", "nan"], "duration must be finite, got nan"),
         (["--duration", "inf"], "duration must be finite, got inf"),
+        (["--duration", "1e12"], "duration 1e+12 s needs 16000000000000000 "
+         "samples, more than a 16-bit WAV holds (2147483629)"),
         (["--n-speakers", "0", "--trial-pairs", "0"],
          "n_speakers must be >= 1, got 0"),
         (["--utts-per-speaker", "0", "--trial-pairs", "0"],
@@ -545,7 +568,8 @@ class TestErrors:
     ], ids=["more_speakers_than_triples", "negative_duration",
             "zero_duration", "duration_below_one_window",
             "duration_of_one_frame", "nan_duration", "infinite_duration",
-            "no_speakers", "no_utterances", "negative_trial_pairs"])
+            "duration_beyond_a_wav", "no_speakers", "no_utterances",
+            "negative_trial_pairs"])
     def test_synth_rejects_impossible_input(self, tmp_path, argv, fragment):
         # In a child process with a timeout: drawing more distinct triples
         # than the grid holds would never end.
@@ -689,7 +713,10 @@ class TestErrors:
         {"feats": np.zeros((5, 91))},
         {"feats": np.zeros((0, 90))},
         {"feats": np.zeros((1, 90))},
-    ], ids=["no_feats_record", "wrong_width", "no_frames", "one_frame"])
+        {"feats": np.pad(np.full((1, 1), np.nan), ((2, 2), (0, 89)))},
+        {"feats": np.pad(np.full((1, 1), -np.inf), ((2, 2), (0, 89)))},
+    ], ids=["no_feats_record", "wrong_width", "no_frames", "one_frame",
+            "nan_frame", "infinite_frame"])
     def test_malformed_feature_cache_file(self, trained, tmp_path,
                                           mini_corpus, capsys, records):
         cache = tmp_path / "cache"
@@ -704,6 +731,123 @@ class TestErrors:
         assert rc == 1
         assert "error: %s: expected a T x 90 'feats' record" % bad in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_train_rejects_a_non_finite_feature_cache_file(
+            self, tmp_path, mini_corpus, capsys, value):
+        """A bad cache file is named before any step runs, not reported as
+        a non-finite loss once a batch happens to draw from it."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad = cache / (mini_corpus.manifest.entries[0][0] + ".feats")
+        frames = np.zeros((5, 90))
+        frames[3, 7] = value
+        write_records(bad, {"feats": frames})
+        (tmp_path / "run.cfg").write_text(TRAIN_CONFIG)
+        loss_log = tmp_path / "loss.csv"
+        out = tmp_path / "model.ckpt"
+        rc = main(["train", "--config", str(tmp_path / "run.cfg"),
+                   "--manifest", mini_corpus.manifest_path,
+                   "--feature-cache", str(cache), "--loss-log", str(loss_log),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: %s: expected a T x 90 'feats' record: "
+                                "frame 3 holds a non-finite value\n" % bad)
+        assert "step" not in captured.out
+        assert loss_log.read_text() == "step,loss\n" and not out.exists()
+
+    @pytest.mark.parametrize("line,argv,message", [
+        ("d_k = 64", [], "d_k = 64, but the resumed checkpoint has 8"),
+        ("lr = 0.5", [], "lr = 0.5, but the resumed checkpoint has %r"
+         % float(np.float32(1e-4))),
+        ("loss = am_softmax", [],
+         "loss = 'am_softmax', but the resumed checkpoint has 'softmax'"),
+        ("seed = 99", [], "seed = 99, but the resumed checkpoint has 3"),
+        ("", ["--seed", "5"], "seed = 5, but the resumed checkpoint has 3"),
+    ], ids=["model_key", "adam_setting", "loss", "seed", "seed_flag"])
+    def test_resume_with_a_config_that_disagrees(
+            self, trained, tmp_path, mini_corpus, capsys, line, argv,
+            message):
+        """The checkpoint fixes the model, the Adam settings and the seed;
+        a run that sets one of them to another value is refused before any
+        feature is computed."""
+        key = line.partition("=")[0].strip()
+        rows = [row for row in TRAIN_CONFIG.splitlines()
+                if row.partition("=")[0].strip() != key] + [line]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(row + "\n" for row in rows))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        out = tmp_path / "resumed.ckpt"
+        rc = main(["train", "--config", str(cfg), *argv,
+                   "--manifest", mini_corpus.manifest_path, "--steps", "3",
+                   "--resume", str(trained / "model.ckpt"),
+                   "--feature-cache", str(cache), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        where = "--seed" if argv else "%s:%d" % (cfg, len(rows))
+        assert err == "error: %s: %s\n" % (where, message)
+        assert os.listdir(cache) == [] and not out.exists()
+
+    def test_resume_with_a_config_that_agrees_as_float32(
+            self, trained, tmp_path, mini_corpus):
+        """Values that equal the checkpoint's once stored as float32 are
+        the same run, and the checkpoint's own values carry on."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TRAIN_CONFIG + "lr = 1e-4\nencoder_dropout = 0.1\n"
+                       "am_scale = 30\nloss = softmax\n")
+        out = tmp_path / "resumed.ckpt"
+        assert main(["train", "--config", str(cfg), "--seed", "3",
+                     "--manifest", mini_corpus.manifest_path, "--steps", "3",
+                     "--resume", str(trained / "model.ckpt"),
+                     "--out", str(out)]) == 0
+        assert read_records(out)["opt.lr"].tobytes() \
+            == read_records(trained / "model.ckpt")["opt.lr"].tobytes()
+        assert load_checkpoint(out).step == 3
+
+    def test_loss_log_in_a_missing_directory(self, tmp_path, mini_corpus,
+                                             capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (tmp_path / "run.cfg").write_text(TRAIN_CONFIG)
+        loss_log = tmp_path / "missing" / "loss.csv"
+        out = tmp_path / "model.ckpt"
+        rc = main(["train", "--config", str(tmp_path / "run.cfg"),
+                   "--manifest", mini_corpus.manifest_path,
+                   "--feature-cache", str(cache), "--loss-log", str(loss_log),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: [Errno 2] No such file or directory: "
+                                "%r\n" % str(loss_log))
+        assert captured.out == ""
+        assert os.listdir(cache) == [] and not out.exists()
+
+    def test_loss_log_is_written_as_the_run_goes(self, tmp_path, mini_corpus,
+                                                 monkeypatch, capsys):
+        """Each row is in the file when its step ends, so a run that fails
+        at step 2 leaves the row of step 1."""
+        (tmp_path / "run.cfg").write_text(TRAIN_CONFIG)
+        loss_log = tmp_path / "loss.csv"
+        seen = []
+        adam_step = saep.train.adam_step
+
+        def failing_second_step(params, state):
+            if state.step == 1:
+                seen.append(loss_log.read_text())
+                raise RuntimeError("stopped at step 2")
+            adam_step(params, state)
+
+        monkeypatch.setattr(saep.train, "adam_step", failing_second_step)
+        rc = main(["train", "--config", str(tmp_path / "run.cfg"),
+                   "--manifest", mini_corpus.manifest_path,
+                   "--loss-log", str(loss_log),
+                   "--out", str(tmp_path / "model.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: stopped at step 2\n"
+        assert seen == [loss_log.read_text()]
+        assert re.fullmatch(r"step,loss\n1,\d+\.\d{6}\n", seen[0])
 
     def test_extract_rejects_a_one_frame_clip(self, trained, tmp_path):
         """450 samples give one analysis frame, which cmvn would map to

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from saep import tensor as tz
-from saep.tensor import DimensionError, NonFiniteError, Tensor
+from saep.tensor import DimensionError, Tensor
 
 from gradcheck import gradient_check
 import reference_ops as ref
@@ -128,16 +128,6 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
             tz.cross_entropy(Tensor(np.zeros((1, 3))), [3])
-
-
-class TestFiniteness:
-    def test_nan_rejected(self):
-        with pytest.raises(NonFiniteError):
-            Tensor([1.0, float("nan")])
-
-    def test_inf_rejected(self):
-        with pytest.raises(NonFiniteError):
-            Tensor([float("inf")])
 
 
 class TestDropout:

@@ -14,7 +14,7 @@ from saep.manifest import Manifest, ManifestError, load_manifest, \
     save_manifest
 from saep.model import LOSS_AM_SOFTMAX, LOSS_SOFTMAX, ModelConfig, \
     count_params, init_model, param_shapes
-from saep.optim import AdamState
+from saep.optim import ADAM_SETTINGS, AdamState
 from saep.train import TrainConfig, make_batch, train
 
 from reference_ops import chunk_accuracy
@@ -122,8 +122,9 @@ class TestTrainLoop:
         manifest, features = toy_corpus()
         model = toy_model()
         before = {n: v.data.copy() for n, v in model.params.items()}
-        train(manifest, features, model, TrainConfig(steps=3, batch_size=4,
-                                                     seed=0, lr=0.0))
+        train(manifest, features, model,
+              TrainConfig(steps=3, batch_size=4, seed=0),
+              opt=AdamState(lr=0.0))
         for name, value in model.params.items():
             np.testing.assert_array_equal(value.data, before[name])
 
@@ -137,7 +138,8 @@ class TestTrainLoop:
     def test_loss_decreases_on_easy_task(self):
         manifest, features = toy_corpus()
         _, trace = train(manifest, features, toy_model(),
-                         TrainConfig(steps=40, batch_size=8, seed=0, lr=1e-3))
+                         TrainConfig(steps=40, batch_size=8, seed=0),
+                         opt=AdamState(lr=1e-3))
         first = np.mean([l for _, l in trace[:5]])
         last = np.mean([l for _, l in trace[-5:]])
         assert last < first
@@ -146,7 +148,8 @@ class TestTrainLoop:
         manifest, features = toy_corpus()
         model = toy_model()
         train(manifest, features, model,
-              TrainConfig(steps=60, batch_size=8, seed=0, lr=1e-3))
+              TrainConfig(steps=60, batch_size=8, seed=0),
+              opt=AdamState(lr=1e-3))
         assert chunk_accuracy(manifest, features, model) > 0.9
 
     def test_invalid_config_rejected(self):
@@ -283,20 +286,18 @@ class TestCheckpointRoundtrip:
         loss=st.sampled_from([LOSS_SOFTMAX, LOSS_AM_SOFTMAX]),
         encoder_dropout=unit_floats, head_dropout=unit_floats,
         am_scale=positive_floats, am_margin=st.floats(0, 3.5e38)),
-        train_config=st.builds(
-            TrainConfig, steps=st.just(1), lr=st.floats(0, 3.5e38),
-            eps=positive_floats, beta1=unit_floats, beta2=unit_floats))
-    def test_every_valid_config_reloads(self, tmp_path, config, train_config):
+        opt=st.builds(
+            AdamState, lr=st.floats(0, 3.5e38), eps=positive_floats,
+            beta1=unit_floats, beta2=unit_floats))
+    def test_every_valid_config_reloads(self, tmp_path, config, opt):
         """A config and Adam settings that pass ``validate`` load back
         from a checkpoint, equal to what was saved after float32
         rounding."""
         try:
             config.validate()
-            train_config.validate()
+            opt.validate()
         except ValueError:
             assume(False)
-        opt = AdamState(lr=train_config.lr, beta1=train_config.beta1,
-                        beta2=train_config.beta2, eps=train_config.eps)
         save_checkpoint(Checkpoint(
             config=config, opt=opt, step=0, seed=0,
             params={name: np.zeros(shape, dtype=np.float32)
@@ -306,7 +307,7 @@ class TestCheckpointRoundtrip:
         assert loaded.config == dataclasses.replace(config, **{
             name: float(np.float32(getattr(config, name))) for name in (
                 "encoder_dropout", "head_dropout", "am_scale", "am_margin")})
-        for name in ("lr", "beta1", "beta2", "eps"):
+        for name in ADAM_SETTINGS:
             assert getattr(loaded.opt, name) \
                 == float(np.float32(getattr(opt, name))), name
 
@@ -320,12 +321,11 @@ class TestCheckpointRoundtrip:
            eps=adam_floats)
     def test_adam_settings_load_iff_valid(self, tmp_path, lr, beta1, beta2,
                                           eps):
-        """``TrainConfig.validate`` accepts Adam settings if and only if a
+        """``AdamState.validate`` accepts Adam settings if and only if a
         checkpoint holding them loads: the converse of
         ``test_every_valid_config_reloads``."""
         try:
-            TrainConfig(steps=1, lr=lr, beta1=beta1, beta2=beta2,
-                        eps=eps).validate()
+            AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps).validate()
             valid = True
         except ValueError:
             valid = False
