@@ -13,6 +13,7 @@ from typing import Dict, Iterable, Optional, Tuple, get_type_hints
 
 import numpy as np
 
+from .features import FEATURE_DIM
 from .model import ModelConfig, SaepModel, param_shapes, LOSS_SOFTMAX, \
     LOSS_AM_SOFTMAX
 from .optim import ADAM_SETTINGS, AdamState
@@ -139,6 +140,10 @@ def load_checkpoint(path) -> Checkpoint:
                                     "loss code %r" % (path, kwargs["loss"]))
     kwargs["loss"] = _LOSS_NAME[kwargs["loss"]]
     config = _validated(path, "cfg.", ModelConfig(**kwargs))
+    if config.d_m != FEATURE_DIM:
+        raise CheckpointFormatError(
+            "%s: record 'cfg.d_m' is %d, but the front end gives %d "
+            "features a frame" % (path, config.d_m, FEATURE_DIM))
     step = _scalar(path, records, "opt.step", int)
     opt = _validated(path, "opt.", AdamState(step=step, **{
         name: _scalar(path, records, "opt." + name, float)

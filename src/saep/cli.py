@@ -99,6 +99,33 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+_LOSS_LOG_HEADER = "step,loss"
+
+
+def _loss_log_through(path, step: int) -> str:
+    """The header and the rows up to ``step`` of the loss log at ``path``,
+    as they stand in the file; only the header if there is no file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        lines = [_LOSS_LOG_HEADER]
+    if lines[:1] != [_LOSS_LOG_HEADER]:
+        raise ValueError("%s:1: expected the header %r"
+                         % (path, _LOSS_LOG_HEADER))
+    kept = lines[:1]
+    for number, line in enumerate(lines[1:], 2):
+        row_step, _, loss = line.partition(",")
+        try:
+            row_step, _ = int(row_step), float(loss)
+        except ValueError:
+            raise ValueError("%s:%d: expected a row <step>,<loss>, got %r"
+                             % (path, number, line)) from None
+        if row_step <= step:
+            kept.append(line)
+    return "".join(line + "\n" for line in kept)
+
+
 def _cmd_train(args) -> int:
     from .cache import features_for_manifest
     from .checkpoint import load_checkpoint, model_from_checkpoint, \
@@ -128,10 +155,14 @@ def _cmd_train(args) -> int:
         model = model_from_checkpoint(ckpt)
     else:
         model = init_model(model_config, seed=train_config.seed)
+    kept = _LOSS_LOG_HEADER + "\n"
+    if ckpt is not None and args.loss_log:
+        # A resumed run keeps the rows of the steps its checkpoint holds.
+        kept = _loss_log_through(args.loss_log, ckpt.step)
     # Line-buffered, so each row is in the file as its step ends.
     with open(args.loss_log or os.devnull, "w", buffering=1,
               encoding="utf-8") as loss_log:
-        loss_log.write("step,loss\n")
+        loss_log.write(kept)
         features = features_for_manifest(manifest, args.feature_cache)
 
         def log(step, loss):

@@ -266,10 +266,15 @@ class SaepModel:
         _, last = self.head(self.attention_pool(h), rng=rng)
         return tz.cross_entropy(self.output_logits(last, labels), labels)
 
+    def inference_view(self) -> "SaepModel":
+        """This model on new leaf tensors over its arrays, needing no grad."""
+        return SaepModel(self.config, {name: Tensor(p.data)
+                                       for name, p in self.params.items()})
+
     def extract_embedding(self, feats: FeatureSequence) -> SpeakerEmbedding:
         """Full-utterance, eval-mode embedding from the second hidden layer."""
-        with tz.no_grad():
-            h = self.encode(Tensor(feats.frames))
-            embedding = self.head(self.attention_pool(h))[0]
+        view = self.inference_view()
+        h = view.encode(Tensor(feats.frames))
+        embedding = view.head(view.attention_pool(h))[0]
         return SpeakerEmbedding(vector=embedding.data.copy(),
                                 utterance_id=feats.utterance_id)

@@ -1,11 +1,14 @@
 """Minimal dense float32 tensors with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a backward closure on a per-call
-graph; calling ``backward()`` on a scalar result walks the graph in reverse
-topological order and accumulates gradients into the leaves. An interior
-node's gradient is released as soon as its closure has consumed it, so
-after the sweep only leaves hold a ``grad``. Graphs are built fresh on
-every forward pass and garbage-collected with their tensors.
+An operation records its inputs and a backward closure on a per-call
+graph if and only if one of its inputs requires grad. No mode switches
+recording off, so threads that share no tensors cannot change what the
+others record; extraction runs over leaves that need no grad. Calling
+``backward()`` on a scalar result walks the graph in reverse topological
+order and accumulates gradients into the leaves. An interior node's
+gradient is released as soon as its closure has consumed it, so after
+the sweep only leaves hold a ``grad``. Graphs are built fresh on every
+forward pass and garbage-collected with their tensors.
 
 Gradients are never written in place: no op writes into the ``g`` its
 closure receives, and ``_accumulate`` adds into a new array. This is
@@ -31,7 +34,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "DimensionError",
-    "no_grad",
     "add",
     "mul",
     "linear",
@@ -49,23 +51,10 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-_grad_enabled = True
 _DTYPE = np.float32
-# Query rows per block of no-grad attention: its working set is this many
-# rows of weights over all keys, not the whole (T, S) matrix.
+# Query rows per block of attention that records no graph: its working set
+# is this many rows of weights over all keys, not the whole (T, S) matrix.
 _QUERY_ROWS = 256
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (pure inference)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 @contextlib.contextmanager
@@ -74,6 +63,7 @@ def compute_dtype(dtype):
 
     The benchmark runs its float64 reference training step under it (tests
     widen gradient checks the same way); the production dtype is float32.
+    It sets a module global, so only single-threaded code enters it.
     """
     global _DTYPE
     prev = _DTYPE
@@ -106,7 +96,7 @@ class Tensor:
         out.requires_grad = False
         out._parents = ()
         out._backward = None
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -248,11 +238,11 @@ def attention(q, k, v, trace: Optional[list] = None,
 
     The forward pass runs one leading entry at a time, so each (T, S) slab
     of weights stays in cache; the backward pass is batched over all
-    entries. When a graph is recorded, the weights are the only thing kept
-    for the backward pass. Otherwise each entry is also split into blocks
-    of ``_QUERY_ROWS`` query rows, since a softmax row depends on its own
-    query alone, and no (T, S) matrix is built unless ``trace`` is given:
-    the full weights are appended to it.
+    entries. When an input requires grad, the weights are the only thing
+    the graph keeps for the backward pass. Otherwise each entry is also
+    split into blocks of ``_QUERY_ROWS`` query rows, since a softmax row
+    depends on its own query alone, and no (T, S) matrix is built unless
+    ``trace`` is given: the full weights are appended to it.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim < 2 or k.ndim < 2 or k.ndim != v.ndim
@@ -266,8 +256,7 @@ def attention(q, k, v, trace: Optional[list] = None,
     n = k3.shape[0]
     # A shared 2-D query is broadcast to every entry without a copy.
     qs = np.broadcast_to((q.data * scale).reshape(-1, t, d_k), (n, t, d_k))
-    record = _grad_enabled and (q.requires_grad or k.requires_grad
-                                or v.requires_grad)
+    record = q.requires_grad or k.requires_grad or v.requires_grad
     rows = t if record else _QUERY_ROWS
     # The blocks of an entry differ in size by at most one row, so there is
     # never a remainder of a row or two: BLAS computes such a sliver with

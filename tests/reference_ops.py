@@ -85,10 +85,11 @@ def tsum(a) -> Tensor:
 
 
 def eval_logits(model, batch: np.ndarray) -> np.ndarray:
-    """Eval-mode class logits for a batch of chunks."""
-    with tz.no_grad():
-        _, last = model.head(model.attention_pool(model.encode(Tensor(batch))))
-        return model.output_logits(last).data
+    """Eval-mode class logits for a batch of chunks, over the no-grad view
+    of the model that extraction runs on."""
+    view = model.inference_view()
+    _, last = view.head(view.attention_pool(view.encode(Tensor(batch))))
+    return view.output_logits(last).data
 
 
 def chunk_accuracy(manifest, features, model, seed: int = 0,

@@ -108,9 +108,8 @@ def test_criterion_4_attention_is_convex(capsys):
         t = int(rng.integers(2, 30))
         x = Tensor(rng.standard_normal((t, 90)).astype(np.float32))
         enc_trace, pool_trace = [], []
-        with tz.no_grad():
-            h = model.encode(x, trace=enc_trace)
-            pooled = model.attention_pool(h, trace=pool_trace)
+        h = model.encode(x, trace=enc_trace)
+        pooled = model.attention_pool(h, trace=pool_trace)
         for weights in enc_trace + pool_trace:
             if weights.min() < 0.0 \
                     or np.abs(weights.sum(axis=-1) - 1.0).max() > 1e-5:

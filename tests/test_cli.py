@@ -19,13 +19,13 @@ import saep.model
 import saep.train
 from saep.audio import write_wav
 from saep.cache import features_for_manifest
-from saep.checkpoint import load_checkpoint, read_records, write_records, \
-    speaker_fingerprint
+from saep.checkpoint import Checkpoint, load_checkpoint, read_records, \
+    save_checkpoint, speaker_fingerprint, write_records
 from saep.cli import main
 from saep.config import _SCHEMA, RunConfigError, load_run_config
 from saep.features import TooShortError
 from saep.manifest import load_manifest
-from saep.model import ModelConfig
+from saep.model import ModelConfig, param_shapes
 from saep.optim import ADAM_SETTINGS, AdamState
 from saep.records import CheckpointFormatError
 from saep.synth import FREQ_GRID, _draw_speakers, synth_corpus
@@ -849,6 +849,87 @@ class TestErrors:
         assert seen == [loss_log.read_text()]
         assert re.fullmatch(r"step,loss\n1,\d+\.\d{6}\n", seen[0])
 
+    def test_resume_keeps_the_loss_log_of_the_steps_before(
+            self, tmp_path, mini_corpus):
+        """Resuming a 5-step run to step 7 with its own loss log leaves the
+        log of an uninterrupted 7-step run, byte for byte; so does resuming
+        with a log that already ran past the checkpoint."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TRAIN_CONFIG)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+
+        def run(steps, name, *argv):
+            assert main(["train", "--config", str(cfg), "--steps", str(steps),
+                         "--manifest", mini_corpus.manifest_path,
+                         "--feature-cache", str(cache),
+                         "--loss-log", str(tmp_path / (name + ".csv")),
+                         "--out", str(tmp_path / (name + ".ckpt")),
+                         *argv]) == 0
+
+        run(7, "straight")
+        straight = (tmp_path / "straight.csv").read_bytes()
+        run(5, "resumed")
+        (tmp_path / "rerun.csv").write_bytes(straight)
+        for name in ("resumed", "rerun"):
+            run(7, name, "--resume", str(tmp_path / "resumed.ckpt"))
+            assert (tmp_path / (name + ".csv")).read_bytes() == straight
+            assert (tmp_path / (name + ".ckpt")).read_bytes() \
+                == (tmp_path / "straight.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("text,line,fragment", [
+        ("step,loss\n1,0.5\n2,x\n", 3,
+         "expected a row <step>,<loss>, got '2,x'"),
+        ("step,loss\n\n", 2, "expected a row <step>,<loss>, got ''"),
+        ("1,0.5\n", 1, "expected the header 'step,loss'"),
+        ("", 1, "expected the header 'step,loss'"),
+    ], ids=["bad_loss", "blank_row", "no_header", "empty"])
+    def test_resume_with_a_malformed_loss_log(
+            self, trained, tmp_path, mini_corpus, capsys, text, line,
+            fragment):
+        """A resumed run reads the log it appends to, and refuses one that
+        is not its own format before any feature is computed."""
+        loss_log = tmp_path / "loss.csv"
+        loss_log.write_text(text)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        out = tmp_path / "resumed.ckpt"
+        rc = main(["train", "--config", str(trained / "run.cfg"),
+                   "--manifest", mini_corpus.manifest_path, "--steps", "3",
+                   "--resume", str(trained / "model.ckpt"),
+                   "--feature-cache", str(cache), "--loss-log", str(loss_log),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err \
+            == "error: %s:%d: %s\n" % (loss_log, line, fragment)
+        assert loss_log.read_text() == text
+        assert os.listdir(cache) == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--checkpoint"], ["train", "--steps", "3", "--resume"]],
+        ids=["extract", "resume"])
+    def test_checkpoint_of_another_frame_width(self, tmp_path, mini_corpus,
+                                               capsys, argv):
+        """The front end gives 90 values a frame, so a checkpoint of any
+        other d_m is refused by name before any feature is computed."""
+        config = ModelConfig(n_speakers=3, n_blocks=1, d_m=60, d_k=8, d_v=8,
+                             d_ff=16, embed_dim=12)
+        ckpt = tmp_path / "narrow.ckpt"
+        save_checkpoint(Checkpoint(
+            config=config, opt=AdamState(), step=1, seed=3,
+            params={name: np.zeros(shape, dtype=np.float32)
+                    for name, shape in param_shapes(config).items()}), ckpt)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        out = tmp_path / "out.bin"
+        rc = main(argv + [str(ckpt), "--manifest", mini_corpus.manifest_path,
+                          "--feature-cache", str(cache), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: %s: record 'cfg.d_m' is 60, but the front end gives 90 "
+            "features a frame\n" % ckpt)
+        assert os.listdir(cache) == [] and not out.exists()
+
     def test_extract_rejects_a_one_frame_clip(self, trained, tmp_path):
         """450 samples give one analysis frame, which cmvn would map to
         all zeros: the front end refuses it and names the WAV."""
@@ -1097,3 +1178,16 @@ class TestLayering:
             check=True).stdout.split()
         assert [m for m in loaded if any(
             m == name or m.startswith(name + ".") for name in below)] == []
+
+    def test_only_compute_dtype_rebinds_a_module_global(self):
+        """A module global that one thread switches is switched for every
+        thread. ``tensor.compute_dtype`` is the one exception; only the
+        single-threaded float64 reference enters it."""
+        rebinding = []
+        for path in sorted(Path(saep.__file__).parent.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    rebinding += ["%s.%s" % (path.stem, func.name)
+                                  for stmt in ast.walk(func)
+                                  if isinstance(stmt, ast.Global)]
+        assert rebinding == ["tensor.compute_dtype"]

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -402,6 +403,42 @@ class TestExtractEmbedding:
             model.extract_embedding(
                 FeatureSequence(np.zeros((0, 90), dtype=np.float32), "e"))
 
+    def test_extraction_in_a_thread_leaves_training_graphs_alone(
+            self, monkeypatch):
+        """A worker thread held inside extraction's first attention call
+        does not stop a training pass on the main thread, over the same
+        model, from recording its graph; and the worker's embedding is the
+        one a lone call gives."""
+        model = init_model(tiny_config(d_m=90), seed=0)
+        feats = self.seq()
+        alone = model.extract_embedding(feats).vector
+        entered, release = threading.Event(), threading.Event()
+        attention = tz.attention
+
+        def held_attention(*args, **kwargs):
+            if threading.current_thread() is worker and not entered.is_set():
+                entered.set()
+                release.wait(timeout=60)
+            return attention(*args, **kwargs)
+
+        monkeypatch.setattr(tz, "attention", held_attention)
+        result = {}
+        worker = threading.Thread(
+            target=lambda: result.update(emb=model.extract_embedding(feats)))
+        worker.start()
+        try:
+            assert entered.wait(timeout=60)
+            rng = np.random.default_rng(1)
+            batch = rng.standard_normal((2, 11, 90)).astype(np.float32)
+            model.forward_loss(batch, [0, 2], train=True, rng=rng).backward()
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [name for name, p in model.params.items()
+                if p.grad is None] == []
+        assert result["emb"].vector.tobytes() == alone.tobytes()
+
 
 class TestQueryBlocks:
     """Without a graph, attention walks blocks of ``tz._QUERY_ROWS`` query
@@ -436,8 +473,7 @@ class TestQueryBlocks:
         for rows in (70, 32):
             monkeypatch.setattr(tz, "_QUERY_ROWS", rows)
             traces.append([])
-            with tz.no_grad():
-                toy_model.encode(x, trace=traces[-1])
+            toy_model.inference_view().encode(x, trace=traces[-1])
         for whole, blocked in zip(*traces):
             assert blocked.shape == (70, 70)
             assert blocked.tobytes() == whole.tobytes()
