@@ -4,20 +4,25 @@ File layout: magic ``SAEP``, format version u32, record count u32, then
 per record: name length u32, UTF-8 name, rank u32, one u64 per extent,
 and the raw float32 data row-major. Checkpoints, feature-cache files and
 embedding archives are all record files.
+
+Record files, trial lists and score files are written through
+``atomic_write``, so a reader finds the old file or the new one, never
+part of one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
 import struct
-from typing import Dict, NoReturn
+from typing import IO, Dict, Iterator, NoReturn
 
 import numpy as np
 
-__all__ = ["MAGIC", "VERSION", "CheckpointFormatError", "write_records",
-           "read_records"]
+__all__ = ["MAGIC", "VERSION", "CheckpointFormatError", "atomic_write",
+           "write_records", "read_records"]
 
 MAGIC = b"SAEP"
 VERSION = 1
@@ -25,6 +30,28 @@ VERSION = 1
 
 class CheckpointFormatError(ValueError):
     """The file is not a well-formed record file of the expected version."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """``open(path, mode)`` for writing, through a new file beside ``path``
+    that is closed and renamed over it once the block ends; on an error it
+    is removed instead, and ``path`` is left as it was. There is no fsync:
+    the rename guards against a failed or killed writer, not a power loss."""
+    tmp = "%s.%s.tmp" % (path, os.urandom(4).hex())
+    try:
+        # "x" creates the file as "w" would, but never opens an existing one.
+        fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    except OSError as exc:  # name the file asked for, not the temp file
+        exc.filename = os.fspath(path)
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_records(path, records: Dict[str, np.ndarray]) -> None:
@@ -40,7 +67,7 @@ def write_records(path, records: Dict[str, np.ndarray]) -> None:
         for extent in arr.shape:
             buf.write(struct.pack("<Q", extent))
         buf.write(arr.tobytes())
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(buf.getvalue())
 
 

@@ -5,7 +5,8 @@ graph if and only if one of its inputs requires grad. No mode switches
 recording off, so threads that share no tensors cannot change what the
 others record; extraction runs over leaves that need no grad. Calling
 ``backward()`` on a scalar result walks the graph in reverse topological
-order and accumulates gradients into the leaves. An interior node's
+order and accumulates gradients into the leaves; on a scalar that
+recorded no graph it raises, as it would reach no leaf. An interior node's
 gradient is released as soon as its closure has consumed it, so after
 the sweep only leaves hold a ``grad``. Graphs are built fresh on every
 forward pass and garbage-collected with their tensors.
@@ -124,6 +125,9 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar, got shape %s"
                                  % (self.shape,))
+        if not self.requires_grad:
+            raise RuntimeError("backward() on a scalar that recorded no "
+                               "graph: no input required grad")
         # Iterative topological order; recursion depth is unbounded otherwise.
         order = []
         visited = set()

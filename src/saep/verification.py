@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
+
+from .records import atomic_write
 
 __all__ = ["SpeakerEmbedding", "Trial", "ScoredTrial", "TrialListError",
            "ZeroNormError", "NonFiniteError", "score_trials", "compute_eer",
@@ -56,56 +58,21 @@ class ScoredTrial:
 def _dots(vectors: List[np.ndarray], widths: np.ndarray, left: np.ndarray,
           right: np.ndarray) -> np.ndarray:
     """Float64 dot of ``vectors[left[k]]`` and ``vectors[right[k]]`` for
-    every k, where both have width ``widths[left[k]]``. The pairs are taken
-    by width, ``_CHUNK`` at a time, each side gathered and upcast into one
-    of two blocks allocated once."""
-    order = np.argsort(widths[left], kind="stable")
-    width = widths[left[order]]
-    lefts, rights = left[order].tolist(), right[order].tolist()
-    size = _CHUNK * int(width.max(initial=0))
-    blocks = np.empty(size), np.empty(size)
-    dots = np.empty(len(order))
-
-    def gather(cols: List[int], block: np.ndarray, w: int) -> np.ndarray:
-        n = len(cols)
-        return np.concatenate([vectors[c] for c in cols],
-                              out=block[:n * w]).reshape(n, w)
-
-    edges = [*np.unique(width, return_index=True)[1].tolist(), len(order)]
-    for g0, g1 in zip(edges[:-1], edges[1:]):
-        w = int(width[g0])
-        for s in range(g0, g1, _CHUNK):
-            e = min(s + _CHUNK, g1)
-            np.einsum("ij,ij->i", gather(lefts[s:e], blocks[0], w),
-                      gather(rights[s:e], blocks[1], w), out=dots[s:e])
-    out = np.empty_like(dots)
-    out[order] = dots
-    return out
-
-
-def _cosines(embeddings: List[Optional[SpeakerEmbedding]], ids: List[str],
-             left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Float64 cosine of ``embeddings[left[k]]`` and
-    ``embeddings[right[k]]`` for every pair k; ``None`` marks an id with no
-    embedding, and ``ids`` names each entry. The first faulty pair raises
-    what a pair-by-pair check would raise first: a missing id (left before
-    right), a non-vector or width mismatch, then a zero or non-finite norm
-    (left before right)."""
-    vectors = [np.asarray(e.vector) if e is not None else np.empty((0, 0))
-               for e in embeddings]
-    # A missing id or non-vector gets width -1 and a NaN norm, so every
-    # pair that uses one is flagged below.
-    widths = np.array([v.shape[0] if v.ndim == 1 else -1 for v in vectors],
-                      dtype=np.intp)
-    columns = np.flatnonzero(widths >= 0)
-    norms = np.full(len(vectors), np.nan)
-    norms[columns] = np.sqrt(_dots(vectors, widths, columns, columns))
-    bad = ~np.isfinite(norms) | (norms == 0.0)
-    fault = (widths[left] != widths[right]) | bad[left] | bad[right]
-    if fault.any():
-        k = int(np.argmax(fault))
-        _raise_fault(embeddings, ids, vectors, norms, left[k], right[k])
-    return _dots(vectors, widths, left, right) / (norms[left] * norms[right])
+    every k, where both have width ``widths[left[k]]``. Each width's pairs
+    are taken in place, ``_CHUNK`` at a time, each side gathered and upcast
+    into one of two blocks allocated once per width."""
+    width = widths[left]
+    dots = np.empty(len(left))
+    for w in np.unique(width).tolist():
+        pairs = np.flatnonzero(width == w)
+        blocks = np.empty(_CHUNK * w), np.empty(_CHUNK * w)
+        for s in range(0, len(pairs), _CHUNK):
+            k = pairs[s:s + _CHUNK]
+            a, b = (np.concatenate([vectors[c] for c in side[k].tolist()],
+                                   out=block[:len(k) * w]).reshape(len(k), w)
+                    for side, block in zip((left, right), blocks))
+            dots[k] = np.einsum("ij,ij->i", a, b)
+    return dots
 
 
 def _raise_fault(embeddings, ids, vectors, norms, a: int, b: int) -> None:
@@ -131,6 +98,10 @@ def _raise_fault(embeddings, ids, vectors, norms, a: int, b: int) -> None:
 
 def score_trials(trials: List[Trial],
                  embeddings: Dict[str, SpeakerEmbedding]) -> List[ScoredTrial]:
+    """Float64 cosine of each trial's enroll and test embeddings. The first
+    faulty trial raises what a trial-by-trial check would raise first: a
+    missing id (enroll before test), a non-vector or width mismatch, then a
+    zero or non-finite norm (enroll before test)."""
     enroll = [t.enroll_id for t in trials]
     test = [t.test_id for t in trials]
     column: Dict[str, int] = {}  # trial id -> index into the column lists
@@ -141,8 +112,22 @@ def score_trials(trials: List[Trial],
 
     left, right = resolve(enroll), resolve(test)
     ids = list(column)
-    scores = _cosines([embeddings.get(utt_id) for utt_id in ids], ids,
-                      left, right)
+    found = [embeddings.get(utt_id) for utt_id in ids]
+    vectors = [np.asarray(e.vector) if e is not None else np.empty((0, 0))
+               for e in found]
+    # A missing id or non-vector gets width -1 and a NaN norm, so every
+    # trial that uses one is flagged below.
+    widths = np.array([v.shape[0] if v.ndim == 1 else -1 for v in vectors],
+                      dtype=np.intp)
+    columns = np.flatnonzero(widths >= 0)
+    norms = np.full(len(vectors), np.nan)
+    norms[columns] = np.sqrt(_dots(vectors, widths, columns, columns))
+    bad = ~np.isfinite(norms) | (norms == 0.0)
+    fault = (widths[left] != widths[right]) | bad[left] | bad[right]
+    if fault.any():
+        k = int(np.argmax(fault))
+        _raise_fault(found, ids, vectors, norms, left[k], right[k])
+    scores = _dots(vectors, widths, left, right) / (norms[left] * norms[right])
     return list(map(ScoredTrial, scores.tolist(),
                     [t.label for t in trials], enroll, test))
 
@@ -230,13 +215,13 @@ def load_trials(path) -> List[Trial]:
 
 
 def save_trials(trials: List[Trial], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for t in trials:
             fh.write("%d %s %s\n" % (t.label, t.enroll_id, t.test_id))
 
 
 def save_scores(scores: List[ScoredTrial], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for s in scores:
             fh.write("%.6f %d %s %s\n" % (s.score, s.label,
                                           s.enroll_id, s.test_id))

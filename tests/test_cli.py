@@ -1191,3 +1191,26 @@ class TestLayering:
                                   for stmt in ast.walk(func)
                                   if isinstance(stmt, ast.Global)]
         assert rebinding == ["tensor.compute_dtype"]
+
+    def test_traced_names_that_saep_no_longer_defines(self, monkeypatch):
+        """The benchmark traces ``saep`` functions, methods and tensor ops by
+        name, and the per-layer figures of a name that resolves to nothing
+        read 0. A change that deletes a traced name adds it here."""
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        tracing = importlib.import_module("tracing")
+        metrics = importlib.import_module("metrics")
+        module = importlib.import_module
+        missing = {name for name, (mod, attr) in tracing.FUNCTIONS.items()
+                   if not hasattr(module(mod), attr)}
+        missing |= {name
+                    for name, (mod, cls, meth) in tracing.METHODS.items()
+                    if meth not in vars(getattr(module(mod), cls))}
+        missing |= {"tensor." + op for op in metrics.TENSOR_OPS
+                    if not hasattr(module("saep.tensor"), op)}
+        assert missing == {
+            "model.am_softmax_loss", "verification.det_points",
+            "model.scaled_dot_attention", "model.position_ffn",
+            "model.classifier_features", "model.head_forward",
+            "tensor.matmul", "tensor.softmax_rows", "tensor.sub",
+            "tensor.transpose"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from saep import verification
 from saep.model import SpeakerEmbedding
 from saep.verification import NonFiniteError, ScoredTrial, Trial, \
     TrialListError, ZeroNormError, _det, compute_eer, evaluate, \
@@ -205,6 +206,24 @@ class TestScoreTrialsAgainstReference:
             else:
                 trial.enroll_id = utt_id
         assert_matches_reference(trials, embeddings)
+
+    def test_many_blocks_of_two_interleaved_widths(self, monkeypatch):
+        """1,500 trials that alternate between widths 7 and 16 fill more
+        than one block of each width; the block size changes no bit."""
+        rng = np.random.default_rng(8)
+        # An id's parity gives its width.
+        embeddings = {"u%d" % i: emb(rng.standard_normal(16 - 9 * (i % 2)),
+                                     "u%d" % i) for i in range(200)}
+        trials = [Trial(int(rng.integers(2)),
+                        "u%d" % (2 * rng.integers(100) + k % 2),
+                        "u%d" % (2 * rng.integers(100) + k % 2))
+                  for k in range(1500)]
+        assert len(trials) // 2 > 512 == verification._CHUNK
+        assert_matches_reference(trials, embeddings)
+        scores = np.array([s.score for s in score_trials(trials, embeddings)])
+        monkeypatch.setattr(verification, "_CHUNK", 7)
+        small = np.array([s.score for s in score_trials(trials, embeddings)])
+        assert small.tobytes() == scores.tobytes()
 
     def test_empty_list_scores_nothing(self):
         assert score_trials([], {"a": emb([1.0], "a")}) == []

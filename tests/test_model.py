@@ -346,6 +346,19 @@ class TestForwardLoss:
             labels=list(model.params))
         assert rep.passed, str(rep)
 
+    def test_backward_over_an_inference_view_raises(self):
+        """A loss over leaves that need no grad records no graph, so a
+        backward pass from it would reach no parameter."""
+        model = init_model(tiny_config(), seed=3)
+        batch = np.random.default_rng(23).standard_normal((2, 8, 6)) \
+            .astype(np.float32)
+        loss = model.inference_view().forward_loss(batch, [0, 2],
+                                                    train=False)
+        with pytest.raises(RuntimeError, match="no input required grad"):
+            loss.backward()
+        assert [p.grad for p in model.params.values()] == \
+            [None] * len(model.params)
+
     @pytest.mark.parametrize("loss_name", ["softmax", "am_softmax"])
     def test_backward_leaves_gradients_on_parameters_only(self, loss_name):
         model = init_model(tiny_config(loss=loss_name, encoder_dropout=0.1,

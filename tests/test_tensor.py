@@ -231,6 +231,14 @@ def test_backward_requires_scalar():
         tz.add(x, x).backward()
 
 
+def test_backward_needs_an_input_that_requires_grad():
+    leaf = Tensor(np.float32(2.0), requires_grad=True)
+    leaf.backward()
+    assert leaf.grad == 1.0
+    with pytest.raises(RuntimeError, match="no input required grad"):
+        tz.add(Tensor(1.0), Tensor(2.0)).backward()
+
+
 class TestFusedAttention:
     def test_matches_composition(self):
         rng = np.random.default_rng(6)

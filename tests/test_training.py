@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings, \
     strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from saep import records
 from saep.checkpoint import Checkpoint, CheckpointFormatError, \
     load_checkpoint, model_from_checkpoint, read_records, save_checkpoint, \
     write_records
@@ -208,6 +211,12 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointFormatError, match="version"):
             read_records(path)
+
+    def test_write_into_a_missing_directory_names_the_file(self, tmp_path):
+        path = tmp_path / "missing" / "x.bin"
+        with pytest.raises(FileNotFoundError) as info:
+            write_records(path, {"a": np.zeros(2, dtype=np.float32)})
+        assert info.value.filename == str(path)
 
 
 # Mostly valid values, with the float32 edges a config check must see: a
@@ -444,3 +453,63 @@ class TestResume:
                                           ckpt20.opt.m[name])
             np.testing.assert_array_equal(resumed.opt.v[name],
                                           ckpt20.opt.v[name])
+
+    def test_a_failed_checkpoint_write_keeps_the_previous_one(
+            self, tmp_path, monkeypatch):
+        """A periodic checkpoint write that fails partway, as on a full
+        disk, leaves the checkpoint before it whole and no temp file, and a
+        run resumed from that one ends bit for bit where an uninterrupted
+        run does."""
+        manifest, features = toy_corpus()
+        seed = 11
+        straight, _ = train(manifest, features, toy_model(),
+                            TrainConfig(steps=20, batch_size=4, seed=seed))
+
+        class HalfWriter:
+            """A file that writes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        writes = []
+
+        def second_write_fails(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if "r" in mode:
+                return fh
+            writes.append(file)
+            return HalfWriter(fh) if len(writes) == 2 else fh
+
+        monkeypatch.setattr(records, "open", second_write_fails,
+                            raising=False)
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            train(manifest, features, toy_model(),
+                  TrainConfig(steps=20, batch_size=4, seed=seed,
+                              checkpoint_every=5), checkpoint_path=path)
+        monkeypatch.undo()
+        assert len(writes) == 2
+        assert os.listdir(tmp_path) == ["run.ckpt"]
+        loaded = load_checkpoint(path)
+        assert loaded.step == 5
+        resumed, _ = train(manifest, features, model_from_checkpoint(loaded),
+                           TrainConfig(steps=20, batch_size=4,
+                                       seed=loaded.seed), opt=loaded.opt)
+        for name, ckpt in (("resumed", resumed), ("straight", straight)):
+            save_checkpoint(ckpt, tmp_path / name)
+        assert (tmp_path / "resumed").read_bytes() \
+            == (tmp_path / "straight").read_bytes()
