@@ -7,6 +7,7 @@ import wave
 import numpy as np
 
 from .features import SAMPLE_RATE
+from .records import atomic_write
 
 __all__ = ["AudioFormatError", "ChannelCountError", "load_audio", "write_wav",
            "MAX_SAMPLES"]
@@ -44,18 +45,27 @@ def load_audio(path) -> np.ndarray:
                 raise AudioFormatError(
                     "%s: expected %d Hz audio, got %d Hz"
                     % (path, SAMPLE_RATE, wf.getframerate()))
-            raw = wf.readframes(wf.getnframes())
+            n_frames = wf.getnframes()
+            raw = wf.readframes(n_frames)
     except wave.Error as exc:
         raise AudioFormatError("%s: not a PCM WAV file (%s)" % (path, exc))
+    except EOFError:
+        raise AudioFormatError("%s: not a PCM WAV file (the header ends "
+                               "early)" % path) from None
+    if len(raw) != 2 * n_frames:
+        raise AudioFormatError(
+            "%s: truncated data chunk: %d bytes for the %d samples (%d "
+            "bytes) of its header" % (path, len(raw), n_frames, 2 * n_frames))
     pcm = np.frombuffer(raw, dtype="<i2")
     return pcm.astype(np.float32) / np.float32(_INT16_SCALE)
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
-    """Write float samples in [-1, 1] as a 16-bit mono PCM WAV file."""
+    """Write float samples in [-1, 1] as a 16-bit mono PCM WAV file,
+    atomically."""
     pcm = np.clip(np.asarray(samples, dtype=np.float64) * _INT16_SCALE,
                   -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    with atomic_write(path) as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(sample_rate)

@@ -105,9 +105,9 @@ _LOSS_LOG_HEADER = "step,loss"
 def _loss_log_through(path, step: int) -> str:
     """The header and the rows up to ``step`` of the loss log at ``path``,
     as they stand in the file; only the header if there is no file."""
+    from .records import text_lines
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = [line.rstrip("\n") for _, line in text_lines(path)]
     except FileNotFoundError:
         lines = [_LOSS_LOG_HEADER]
     if lines[:1] != [_LOSS_LOG_HEADER]:

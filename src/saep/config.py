@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import fields, replace
 from typing import Optional, Tuple, get_type_hints
 
 from .checkpoint import Checkpoint
 from .model import ModelConfig, LOSS_SOFTMAX, LOSS_AM_SOFTMAX, stored_float
 from .optim import ADAM_SETTINGS, AdamState
+from .records import text_lines
 from .train import TrainConfig
 
 __all__ = ["RunConfigError", "load_run_config"]
@@ -59,27 +59,26 @@ def load_run_config(path, n_speakers: int, steps: Optional[int] = None,
         if resume is None else
         (resume.config, TrainConfig(seed=resume.seed), resume.opt))}
     given = {}  # key -> (where it was set, value)
-    with (io.StringIO() if path is None
-          else open(path, "r", encoding="utf-8")) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = "%s:%d" % (path, lineno)
-            if "=" not in line:
-                raise RunConfigError("%s: expected 'key = value', got %r"
-                                     % (where, raw.rstrip()))
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _SCHEMA:
-                raise RunConfigError("%s: unknown key %r" % (where, key))
-            if key in given:
-                raise RunConfigError("%s: duplicate key %r" % (where, key))
-            try:
-                given[key] = (where, _SCHEMA[key][1](value))
-            except ValueError as exc:
-                raise RunConfigError("%s: bad value for %r: %s"
-                                     % (where, key, exc))
+    lines = () if path is None else text_lines(path, RunConfigError)
+    for lineno, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = "%s:%d" % (path, lineno)
+        if "=" not in line:
+            raise RunConfigError("%s: expected 'key = value', got %r"
+                                 % (where, raw.rstrip()))
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _SCHEMA:
+            raise RunConfigError("%s: unknown key %r" % (where, key))
+        if key in given:
+            raise RunConfigError("%s: duplicate key %r" % (where, key))
+        try:
+            given[key] = (where, _SCHEMA[key][1](value))
+        except ValueError as exc:
+            raise RunConfigError("%s: bad value for %r: %s"
+                                 % (where, key, exc))
     for key, value in (("steps", steps), ("seed", seed)):
         if value is not None:
             given[key] = ("--" + key, value)

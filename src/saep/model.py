@@ -163,8 +163,8 @@ def count_params(config: ModelConfig, convention: str = "all") -> int:
 
 def _am_logits(features: Tensor, weight: Tensor, scale: float,
               margin: float = 0.0, labels=None) -> Tensor:
-    """Scaled cosine logits; ``margin`` is subtracted from each row's true
-    class when ``labels`` are given.
+    """Scaled cosine logits; ``margin``, as a checkpoint stores it, is
+    subtracted from each row's true class when ``labels`` are given.
 
     Feature rows and class columns of ``weight`` are L2-normalized, so the
     logits are invariant to the magnitude of either.
@@ -174,9 +174,9 @@ def _am_logits(features: Tensor, weight: Tensor, scale: float,
     cos = tz.linear(feats_n, weight_n)
     if labels is not None:
         n, c = cos.shape
-        onehot = np.zeros((n, c), dtype=np.float32)
+        onehot = np.zeros((n, c), dtype=cos.data.dtype)
         onehot[np.arange(n), np.asarray(labels, dtype=np.int64)] = 1.0
-        cos = tz.add(cos, Tensor(-margin * onehot))
+        cos = tz.add(cos, Tensor(-stored_float(margin) * onehot))
     return tz.mul(cos, float(scale))
 
 

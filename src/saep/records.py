@@ -5,9 +5,10 @@ per record: name length u32, UTF-8 name, rank u32, one u64 per extent,
 and the raw float32 data row-major. Checkpoints, feature-cache files and
 embedding archives are all record files.
 
-Record files, trial lists and score files are written through
-``atomic_write``, so a reader finds the old file or the new one, never
-part of one.
+Every file the program writes, except the loss log it appends to as a run
+goes, is written through ``atomic_write``, so a reader finds the old file
+or the new one, never part of one. Text files are read through
+``text_lines``, which names a file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import io
 import math
 import os
 import struct
-from typing import IO, Dict, Iterator, NoReturn
+from typing import IO, Dict, Iterator, NoReturn, Tuple
 
 import numpy as np
 
 __all__ = ["MAGIC", "VERSION", "CheckpointFormatError", "atomic_write",
-           "write_records", "read_records"]
+           "text_lines", "write_records", "read_records"]
 
 MAGIC = b"SAEP"
 VERSION = 1
@@ -52,6 +53,17 @@ def atomic_write(path, mode: str = "wb", **kwargs) -> Iterator[IO]:
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def text_lines(path, error: type = ValueError) -> Iterator[Tuple[int, str]]:
+    """Number and text of each line of the UTF-8 text file ``path``. A byte
+    that is not UTF-8 raises ``error``, naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError as exc:
+            raise error("%s: not UTF-8 text: byte 0x%02x (%s)"
+                        % (path, exc.object[exc.start], exc.reason)) from None
 
 
 def write_records(path, records: Dict[str, np.ndarray]) -> None:

@@ -1,4 +1,4 @@
-"""Minimal dense float32 tensors with reverse-mode automatic differentiation.
+"""Minimal dense tensors with reverse-mode automatic differentiation.
 
 An operation records its inputs and a backward closure on a per-call
 graph if and only if one of its inputs requires grad. No mode switches
@@ -60,11 +60,11 @@ _QUERY_ROWS = 256
 
 @contextlib.contextmanager
 def compute_dtype(dtype):
-    """Temporarily change the storage dtype of newly created tensors.
+    """Temporarily store outside data that becomes a ``Tensor`` as ``dtype``.
 
-    The benchmark runs its float64 reference training step under it (tests
-    widen gradient checks the same way); the production dtype is float32.
-    It sets a module global, so only single-threaded code enters it.
+    Its one caller is the benchmark's float64 reference, which builds its
+    model from ``init_model``'s float32 arrays; it stays until that reference
+    casts its own inputs. It sets a module global: single-threaded only.
     """
     global _DTYPE
     prev = _DTYPE
@@ -76,12 +76,14 @@ def compute_dtype(dtype):
 
 
 class Tensor:
-    """Dense row-major float32 array with an optional gradient buffer."""
+    """Dense row-major array with an optional gradient buffer. A float64
+    ndarray stays float64; other data is stored as ``_DTYPE`` (float32)."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data: np.ndarray = np.asarray(data, dtype=_DTYPE)
+        keep = isinstance(data, np.ndarray) and data.dtype == np.float64
+        self.data: np.ndarray = data if keep else np.asarray(data, _DTYPE)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -117,7 +119,7 @@ class Tensor:
     def _accumulate(self, g: np.ndarray):
         # Gradients are never mutated in place, so sharing a buffer with a
         # child's gradient (e.g. through reshape views) is safe.
-        g = np.asarray(g, dtype=_DTYPE)
+        g = np.asarray(g, dtype=self.data.dtype)
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
@@ -160,8 +162,10 @@ class Tensor:
                                                        self.requires_grad)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DTYPE))
+def _as_tensor(x, like=None) -> Tensor:
+    if isinstance(like, Tensor) and np.isscalar(x):  # a scalar operand
+        x = np.asarray(x, like.data.dtype)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -172,11 +176,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return np.asarray(g, dtype=_DTYPE).reshape(shape)
+    return g.reshape(shape)
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out = a.data + b.data
 
     def backward(g):
@@ -189,7 +193,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out = a.data * b.data
 
     def backward(g):
@@ -254,7 +258,8 @@ def attention(q, k, v, trace: Optional[list] = None,
             or q.shape[:-2] not in ((), k.shape[:-2])):
         raise DimensionError("attention shapes disagree: q %s, k %s, v %s"
                              % (q.shape, k.shape, v.shape))
-    scale = _DTYPE(1.0 / math.sqrt(q.shape[-1]) if scale is None else scale)
+    dtype = np.result_type(q.data, k.data, v.data).type
+    scale = dtype(1.0 / math.sqrt(q.shape[-1]) if scale is None else scale)
     lead, (t, d_k), (s, d_v) = k.shape[:-2], q.shape[-2:], v.shape[-2:]
     k3, v3 = k.data.reshape(-1, s, d_k), v.data.reshape(-1, s, d_v)
     n = k3.shape[0]
@@ -266,11 +271,11 @@ def attention(q, k, v, trace: Optional[list] = None,
     # never a remainder of a row or two: BLAS computes such a sliver with
     # other kernels than a full block, which round differently.
     count = -(-t // max(rows, 1))
-    w = (np.empty((n, t, s), dtype=_DTYPE)
+    w = (np.empty((n, t, s), dtype=dtype)
          if record or trace is not None else None)
     # Without kept weights, every block reuses this one buffer.
-    block = np.empty((min(rows, t), s), dtype=_DTYPE) if w is None else None
-    out = np.empty((n, t, d_v), dtype=_DTYPE)
+    block = np.empty((min(rows, t), s), dtype=dtype) if w is None else None
+    out = np.empty((n, t, d_v), dtype=dtype)
     for i in range(n):
         for j in range(count):
             r = slice(j * t // count, (j + 1) * t // count)
@@ -380,7 +385,7 @@ def dropout(x, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
     # storage (e.g. in a checkpoint) yields bit-identical masks.
     rate32 = np.float32(rate)
     keep = rng.random(x.shape, dtype=np.float32) >= rate32
-    scale = _DTYPE(1.0) / (_DTYPE(1.0) - rate32)
+    scale = 1.0 / (x.data.dtype.type(1.0) - rate32)
     # Zeroing before scaling gives each element exactly x * {0, scale}.
     out = x.data * keep
     out *= scale
@@ -411,13 +416,13 @@ def cross_entropy(logits, labels) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
-    loss = _DTYPE(-logp[np.arange(n), labels].mean())
+    loss = logp.dtype.type(-logp[np.arange(n), labels].mean())
 
     def backward(g):
         if logits.requires_grad:
             p = np.exp(logp)
             p[np.arange(n), labels] -= 1.0
-            logits._accumulate(p * (_DTYPE(g) / _DTYPE(n)))
+            logits._accumulate(p * (g / logp.dtype.type(n)))
 
     return Tensor._from_op(loss, (logits,), backward)
 
@@ -426,7 +431,7 @@ def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """Scale slices along ``axis`` to unit L2 norm."""
     x = _as_tensor(x)
     norm = np.sqrt((x.data.astype(np.float64) ** 2).sum(axis=axis, keepdims=True)
-                   + eps).astype(_DTYPE)
+                   + eps).astype(x.data.dtype)
     y = x.data / norm
 
     def backward(g):

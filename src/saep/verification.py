@@ -8,7 +8,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .records import atomic_write
+from .records import atomic_write, text_lines
 
 __all__ = ["SpeakerEmbedding", "Trial", "ScoredTrial", "TrialListError",
            "ZeroNormError", "NonFiniteError", "score_trials", "compute_eer",
@@ -194,16 +194,15 @@ def _read_rows(path, n_fields: int, usage: str,
     ``n_fields`` whitespace-separated fields ending in
     ``<0|1> <enroll_id> <test_id>``."""
     empty = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != n_fields or parts[-3] not in ("0", "1"):
-                raise TrialListError("%s:%d: expected %r, got %r"
-                                     % (path, lineno, usage, line.strip()))
-            empty = False
-            yield lineno, parts
+    for lineno, line in text_lines(path, TrialListError):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != n_fields or parts[-3] not in ("0", "1"):
+            raise TrialListError("%s:%d: expected %r, got %r"
+                                 % (path, lineno, usage, line.strip()))
+        empty = False
+        yield lineno, parts
     if empty:
         raise TrialListError("%s: %s is empty" % (path, what))
 

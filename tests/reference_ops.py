@@ -73,13 +73,13 @@ def composed_attention(q, k, v):
 
 def tsum(a) -> Tensor:
     """Sum of every element, accumulated in float64 and stored in the
-    storage dtype current at the call (so ``compute_dtype`` reaches it)."""
+    input's dtype."""
     a = _as_tensor(a)
-    out = tz._DTYPE(a.data.sum(dtype=np.float64))
+    out = a.data.dtype.type(a.data.sum(dtype=np.float64))
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.full_like(a.data, tz._DTYPE(g)))
+            a._accumulate(np.full_like(a.data, g))
 
     return Tensor._from_op(out, (a,), backward)
 

@@ -192,25 +192,24 @@ def test_criterion_6_margin_free_am_softmax_is_cross_entropy(capsys):
     on scale * cosine logits (100 random batches, within 1e-6)."""
     rng = np.random.default_rng(2)
     worst = 0.0
-    # widened precision isolates the algebraic identity from float32
+    # float64 inputs isolate the algebraic identity from float32
     # rounding noise between the two evaluation orders
-    with tz.compute_dtype(np.float64):
-        for _ in range(100):
-            n, d, c = (int(rng.integers(1, 9)), int(rng.integers(2, 12)),
-                       int(rng.integers(2, 8)))
-            feats = rng.standard_normal((n, d))
-            weight = Tensor(rng.standard_normal((d, c)))
-            labels = rng.integers(0, c, size=n)
-            model = SaepModel(ModelConfig(c, loss=LOSS_AM_SOFTMAX,
-                                          am_scale=30.0, am_margin=0.0),
-                              {"out.w": weight})
-            am = tz.cross_entropy(model.output_logits(Tensor(feats), labels),
-                                  labels).item()
-            fn = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-            wn = weight.data / np.linalg.norm(weight.data, axis=0,
-                                              keepdims=True)
-            ce = tz.cross_entropy(Tensor(30.0 * (fn @ wn)), labels).item()
-            worst = max(worst, abs(am - ce))
+    for _ in range(100):
+        n, d, c = (int(rng.integers(1, 9)), int(rng.integers(2, 12)),
+                   int(rng.integers(2, 8)))
+        feats = rng.standard_normal((n, d))
+        weight = Tensor(rng.standard_normal((d, c)))
+        labels = rng.integers(0, c, size=n)
+        model = SaepModel(ModelConfig(c, loss=LOSS_AM_SOFTMAX,
+                                      am_scale=30.0, am_margin=0.0),
+                          {"out.w": weight})
+        am = tz.cross_entropy(model.output_logits(Tensor(feats), labels),
+                              labels).item()
+        fn = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+        wn = weight.data / np.linalg.norm(weight.data, axis=0,
+                                          keepdims=True)
+        ce = tz.cross_entropy(Tensor(30.0 * (fn @ wn)), labels).item()
+        worst = max(worst, abs(am - ce))
     report(capsys, "margin-free AM-softmax equals cross-entropy",
            worst <= 1e-6, "worst gap %.2e" % worst)
 

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from saep.checkpoint import Checkpoint, load_checkpoint, read_records, \
 from saep.cli import main
 from saep.config import _SCHEMA, RunConfigError, load_run_config
 from saep.features import TooShortError
-from saep.manifest import load_manifest
+from saep.manifest import Manifest, load_manifest, save_manifest
 from saep.model import ModelConfig, param_shapes
 from saep.optim import ADAM_SETTINGS, AdamState
 from saep.records import CheckpointFormatError
@@ -952,6 +953,57 @@ class TestErrors:
         with pytest.raises(TooShortError, match=str(wav)):
             features_for_manifest(load_manifest(manifest))
 
+    @pytest.mark.parametrize("cut,message", [
+        (lambda b: b"", "not a PCM WAV file (the header ends early)"),
+        (lambda b: b"RIFF", "not a PCM WAV file (the header ends early)"),
+        (lambda b: b[:20], "not a PCM WAV file (the header ends early)"),
+        (lambda b: b[:-1000], "truncated data chunk: 15000 bytes for the "
+                              "8000 samples (16000 bytes) of its header"),
+        (lambda b: b[:-1001], "truncated data chunk: 14999 bytes for the "
+                              "8000 samples (16000 bytes) of its header"),
+    ], ids=["empty", "riff_only", "first_20_bytes", "even_cut", "odd_cut"])
+    def test_extract_rejects_a_cut_wav(self, trained, tmp_path, cut, message):
+        """A WAV cut inside its header or its data is refused by name, with
+        exit 1 and no traceback."""
+        wav = tmp_path / "cut.wav"
+        write_wav(wav, np.full(8000, 0.25), 16000)
+        wav.write_bytes(cut(wav.read_bytes()))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("cut spk000 cut.wav\n")
+        out = tmp_path / "e.bin"
+        done = subprocess.run(
+            [sys.executable, "-m", "saep", "extract",
+             "--checkpoint", str(trained / "model.ckpt"),
+             "--manifest", str(manifest), "--out", str(out)],
+            env=child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == "error: %s: %s\n" % (wav, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["count-params", "--config", "{bad}"],
+        ["extract", "--checkpoint", "{work}/model.ckpt", "--manifest",
+         "{bad}", "--out", "{tmp}/e.bin"],
+        ["score", "--embeddings", "{work}/embeddings.bin", "--trials",
+         "{bad}", "--out", "{tmp}/s.txt"],
+        ["eval", "--scores", "{bad}"],
+        ["train", "--config", "{work}/run.cfg", "--manifest", "{manifest}",
+         "--steps", "3", "--resume", "{work}/model.ckpt", "--loss-log",
+         "{bad}", "--out", "{tmp}/r.ckpt"],
+    ], ids=["run_config", "manifest", "trial_list", "score_file", "loss_log"])
+    def test_text_that_is_not_utf8_names_the_file(
+            self, trained, tmp_path, mini_corpus, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 a b\n\xff\n")
+        fill = dict(bad=bad, work=trained, tmp=tmp_path,
+                    manifest=mini_corpus.manifest_path)
+        assert main([arg.format(**fill) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: %s: not UTF-8 text: byte 0xff (invalid start byte)\n"
+            % bad)
+        assert bad.read_bytes() == b"1 a b\n\xff\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
     @pytest.mark.parametrize("shape", [(3, 3), ()], ids=["matrix", "rank_0"])
     def test_score_non_vector_embeddings(self, tmp_path, capsys, shape):
         archive = tmp_path / "embeddings.bin"
@@ -1045,6 +1097,42 @@ class TestRecordFiles:
             read_records(path)
         message = str(exc.value)
         assert message.startswith("%s: " % path) and fragment in message
+
+
+class TestAtomicWrites:
+    """A write that fails halfway leaves the previous file as it was, and
+    no temporary file beside it."""
+
+    @staticmethod
+    def assert_unchanged(path, before):
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_manifest(self, tmp_path):
+        class Unwritable:
+            def __str__(self):
+                raise OSError("disk full")
+
+        path = tmp_path / "manifest.txt"
+        save_manifest(Manifest([("u1", "s1", "a.wav")]), path)
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            save_manifest(Manifest([("u2", "s1", "b.wav"),
+                                    (Unwritable(), "s1", "c.wav")]), path)
+        self.assert_unchanged(path, before)
+
+    def test_wav(self, tmp_path, monkeypatch):
+        def half_then_fail(wf, data):
+            wf.writeframesraw(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        path = tmp_path / "a.wav"
+        write_wav(path, np.zeros(100), 16000)
+        before = path.read_bytes()
+        monkeypatch.setattr(wave.Wave_write, "writeframes", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_wav(path, np.full(1000, 0.5), 16000)
+        self.assert_unchanged(path, before)
 
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(saep.__path__)
@@ -1181,8 +1269,8 @@ class TestLayering:
 
     def test_only_compute_dtype_rebinds_a_module_global(self):
         """A module global that one thread switches is switched for every
-        thread. ``tensor.compute_dtype`` is the one exception; only the
-        single-threaded float64 reference enters it."""
+        thread. ``tensor.compute_dtype`` is the one exception: the
+        benchmark's single-threaded float64 reference is its one caller."""
         rebinding = []
         for path in sorted(Path(saep.__file__).parent.glob("*.py")):
             for func in ast.walk(ast.parse(path.read_text())):
@@ -1191,6 +1279,22 @@ class TestLayering:
                                   for stmt in ast.walk(func)
                                   if isinstance(stmt, ast.Global)]
         assert rebinding == ["tensor.compute_dtype"]
+
+    def test_only_tensor_names_the_storage_dtype(self):
+        """Ops follow their inputs' dtype, so no code outside ``tensor.py``
+        reads the storage-dtype global or enters ``compute_dtype``."""
+        hidden = {"compute_dtype", "_DTYPE"}
+        naming = []
+        for path in sorted([*Path(saep.__file__).parent.glob("*.py"),
+                            *Path(__file__).parent.glob("*.py")]):
+            if path.name != "tensor.py":
+                naming += ["%s:%d" % (path.name, node.lineno)
+                           for node in ast.walk(ast.parse(path.read_text()))
+                           if getattr(node, "id", None) in hidden
+                           or getattr(node, "attr", None) in hidden
+                           or isinstance(node, ast.alias)
+                           and node.name in hidden]
+        assert naming == []
 
     def test_traced_names_that_saep_no_longer_defines(self, monkeypatch):
         """The benchmark traces ``saep`` functions, methods and tensor ops by

@@ -280,30 +280,76 @@ class TestFusedAttention:
 
 
 def test_every_op_keeps_float64():
-    """Under compute_dtype(float64), every op's output and every gradient
-    stay float64, so the float64 reference paths are really float64."""
+    """With float64 leaves and no mode entered, every op's output and every
+    gradient stay float64, so the float64 reference paths are really
+    float64."""
     rng = np.random.default_rng(9)
-    with tz.compute_dtype(np.float64):
-        def leaf(*shape):
-            return Tensor(rng.standard_normal(shape), requires_grad=True)
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
 
-        x, w, b = leaf(2, 3, 4), leaf(4, 4), leaf(4)
-        outs = [
-            tz.add(x, b), tz.mul(x, 0.5), ref.matmul(x, w),
-            tz.linear(x, w, b), tz.attention(x, x, x), ref.transpose(x),
-            tz.reshape(x, (6, 4)), tz.relu(x), ref.softmax_rows(x),
-            tz.layer_norm(x, x, b, b),
-            tz.dropout(x, 0.5, np.random.default_rng(0)),
-            tz.l2_normalize(x), ref.tsum(x),
-            tz.cross_entropy(tz.reshape(x, (6, 4)), [0, 1, 2, 3, 0, 1]),
-        ]
-        loss = ref.tsum(outs[0])
-        for out in outs:
-            assert out.data.dtype == np.float64
-            loss = tz.add(loss, ref.tsum(out))
-        loss.backward()
-        for t in (x, w, b):
-            assert t.grad.dtype == np.float64
+    x, w, b = leaf(2, 3, 4), leaf(4, 4), leaf(4)
+    outs = [
+        tz.add(x, b), tz.mul(x, 0.5), ref.matmul(x, w),
+        tz.linear(x, w, b), tz.attention(x, x, x), ref.transpose(x),
+        tz.reshape(x, (6, 4)), tz.relu(x), ref.softmax_rows(x),
+        tz.layer_norm(x, x, b, b),
+        tz.dropout(x, 0.5, np.random.default_rng(0)),
+        tz.l2_normalize(x), ref.tsum(x),
+        tz.cross_entropy(tz.reshape(x, (6, 4)), [0, 1, 2, 3, 0, 1]),
+    ]
+    loss = ref.tsum(outs[0])
+    for out in outs:
+        assert out.data.dtype == np.float64
+        loss = tz.add(loss, ref.tsum(out))
+    loss.backward()
+    for t in (x, w, b):
+        assert t.grad.dtype == np.float64
+
+
+# Every op in ``tensor.__all__``, on leaves of (rows, d) or (2, rows, d).
+DTYPE_OPS = {
+    "add": lambda x, b, s: tz.add(x, b),
+    "add_scalar": lambda x, b, s: tz.add(2.0, x),
+    "mul": lambda x, b, s: tz.mul(x, b),
+    "mul_scalar": lambda x, b, s: tz.mul(x, np.float64(0.37)),
+    "linear": lambda x, b, s: tz.linear(x, s, b),
+    "attention": lambda x, b, s: tz.attention(x, x, x),
+    "reshape": lambda x, b, s: tz.reshape(x, (-1,)),
+    "relu": lambda x, b, s: tz.relu(x),
+    "layer_norm": lambda x, b, s: tz.layer_norm(x, x, b, b),
+    "dropout": lambda x, b, s: tz.dropout(x, 0.3, np.random.default_rng(0)),
+    "cross_entropy": lambda x, b, s: tz.cross_entropy(
+        tz.reshape(x, (-1, x.shape[-1])), [0] * (x.data.size // x.shape[-1])),
+    "l2_normalize": lambda x, b, s: tz.l2_normalize(x),
+}
+
+
+def test_dtype_ops_cover_every_op():
+    assert {name.partition("_scalar")[0] for name in DTYPE_OPS} \
+        == set(tz.__all__) - {"Tensor", "DimensionError"}
+
+
+@settings(max_examples=30)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       op=st.sampled_from(sorted(DTYPE_OPS)), batched=st.booleans(),
+       rows=st.integers(1, 4), d=st.integers(1, 5), seed=seeds)
+def test_every_op_follows_its_inputs_dtype(dtype, op, batched, rows, d, seed):
+    """Each op returns, and back-propagates into every leaf, the dtype of
+    its inputs, with no mode entered; a scalar operand takes the tensor's
+    dtype, whatever its own."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(dtype),
+                      requires_grad=True)
+
+    x = leaf(*(((2,) if batched else ()) + (rows, d)))
+    b, s = leaf(d), leaf(d, d)
+    out = DTYPE_OPS[op](x, b, s)
+    assert out.data.dtype == dtype
+    ref.tsum(out).backward()
+    for t in (x, b, s):
+        assert t.grad is None or t.grad.dtype == dtype
 
 
 def batched_attention(q, k, v, g, scale):

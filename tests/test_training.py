@@ -18,6 +18,7 @@ from saep.manifest import Manifest, ManifestError, load_manifest, \
 from saep.model import LOSS_AM_SOFTMAX, LOSS_SOFTMAX, ModelConfig, \
     count_params, init_model, param_shapes
 from saep.optim import ADAM_SETTINGS, AdamState
+from saep.tensor import Tensor
 from saep.train import TrainConfig, make_batch, train
 
 from reference_ops import chunk_accuracy
@@ -154,6 +155,40 @@ class TestTrainLoop:
               TrainConfig(steps=60, batch_size=8, seed=0),
               opt=AdamState(lr=1e-3))
         assert chunk_accuracy(manifest, features, model) > 0.9
+
+    @pytest.mark.parametrize("loss", [LOSS_SOFTMAX, LOSS_AM_SOFTMAX])
+    def test_a_step_and_an_extraction_stay_float32(self, monkeypatch, loss):
+        """Every op output, every array a backward closure keeps, every
+        gradient, the parameters and the Adam moments of a training step,
+        and every op output of an extraction, are float32: a float64 leak
+        would double a step's cost and show nowhere else."""
+        seen = []
+        from_op, accumulate = Tensor._from_op.__func__, Tensor._accumulate
+
+        def spy_from_op(cls, data, parents, backward):
+            kept = [cell.cell_contents for cell in backward.__closure__]
+            seen.extend(a.dtype for a in [data, *kept]
+                        if isinstance(a, (np.ndarray, np.generic))
+                        and a.dtype.kind == "f")
+            return from_op(cls, data, parents, backward)
+
+        def spy_accumulate(tensor, g):
+            seen.append(np.asarray(g).dtype)
+            accumulate(tensor, g)
+
+        monkeypatch.setattr(Tensor, "_from_op", classmethod(spy_from_op))
+        monkeypatch.setattr(Tensor, "_accumulate", spy_accumulate)
+        manifest, features = toy_corpus()
+        model = toy_model(loss=loss)
+        ckpt, _ = train(manifest, features, model,
+                        TrainConfig(steps=1, batch_size=4, seed=0))
+        n_step = len(seen)
+        # 320 frames: the no-grad attention runs in two query blocks.
+        model.extract_embedding(features[manifest.entries[0][0]])
+        assert 0 < n_step < len(seen)
+        seen += [a.dtype for a in [*ckpt.params.values(),
+                                   *ckpt.opt.m.values(), *ckpt.opt.v.values()]]
+        assert set(seen) == {np.dtype(np.float32)}
 
     def test_invalid_config_rejected(self):
         manifest, features = toy_corpus()
