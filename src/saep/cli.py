@@ -1,8 +1,8 @@
 """Command line front end for the full pipeline.
 
 Subcommands: synth, train, extract, score, eval, count-params. Heavy
-imports happen inside ``main`` so that ``--threads`` can pin the BLAS
-thread count before numpy loads.
+imports happen inside ``main`` so that ``--threads`` can pin BLAS to one
+thread before numpy loads.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "corpus, train, extract embeddings, score trials, and "
                     "compute EER.")
     parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="BLAS thread count (default: library default)")
+                        help="train on up to N worker threads (at most 2) "
+                             "with one BLAS thread each (default: the "
+                             "library's BLAS threads, and 2 workers only "
+                             "if that is one thread)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic harmonic corpus")
@@ -171,7 +174,7 @@ def _cmd_train(args) -> int:
                 print("step %d loss %.4f" % (step, loss), flush=True)
 
         train(manifest, features, model, train_config, opt=opt,
-              checkpoint_path=args.out, log=log)
+              checkpoint_path=args.out, log=log, max_workers=args.threads)
     print("wrote checkpoint %s" % args.out)
     return 0
 
@@ -259,7 +262,7 @@ def main(argv=None) -> int:
     if args.threads is not None:  # BLAS reads these when numpy loads
         os.environ.update(dict.fromkeys(
             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
-            str(args.threads)))
+            "1"))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:

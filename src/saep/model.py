@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,27 +190,31 @@ class SaepModel:
     # -- encoder -----------------------------------------------------------
 
     def encoder_block(self, x: Tensor, block: int,
-                      rng: Optional[np.random.Generator] = None,
+                      masks: Optional[Sequence] = None,
                       trace: Optional[list] = None) -> Tensor:
+        """One block; ``masks`` are the keep masks of its projection and
+        FFN dropout, none in eval mode."""
         p = self.params
         c = self.config
         pre = "enc%d." % block
+        keep_proj, keep_ffn = masks or (None, None)
         q = tz.linear(x, p[pre + "w_q"])
         k = tz.linear(x, p[pre + "w_k"])
         v = tz.linear(x, p[pre + "w_v"])
         attn = tz.attention(q, k, v, trace=trace)
         proj = tz.linear(attn, p[pre + "w_o"])
-        proj = tz.dropout(proj, c.encoder_dropout, rng)
+        proj = tz.dropout(proj, c.encoder_dropout, keep_proj)
         s1 = tz.layer_norm(proj, x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         hidden = tz.relu(tz.linear(s1, p[pre + "w_1"], p[pre + "b_1"]))
         ffn = tz.dropout(tz.linear(hidden, p[pre + "w_2"], p[pre + "b_2"]),
-                         c.encoder_dropout, rng)
+                         c.encoder_dropout, keep_ffn)
         return tz.layer_norm(ffn, s1, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
 
-    def encode(self, x: Tensor, rng: Optional[np.random.Generator] = None,
+    def encode(self, x: Tensor, masks: Optional[Sequence] = None,
                trace: Optional[list] = None) -> Tensor:
         for i in range(self.config.n_blocks):
-            x = self.encoder_block(x, i, rng=rng, trace=trace)
+            x = self.encoder_block(x, i, masks and masks[2 * i:2 * i + 2],
+                                   trace=trace)
         return x
 
     # -- pooling and head --------------------------------------------------
@@ -226,18 +230,20 @@ class SaepModel:
         pooled = tz.attention(query, h, h, trace=trace, scale=1.0)
         return tz.reshape(pooled, h.shape[:-2] + h.shape[-1:])
 
-    def head(self, c: Tensor, rng: Optional[np.random.Generator] = None
+    def head(self, c: Tensor, masks: Optional[Sequence] = None
              ) -> Tuple[Tensor, Tensor]:
         """Classifier head fc1 -> fc2 -> fc3, each relu(linear) then
-        dropout; returns (embedding, last hidden activation). The embedding
-        is fc2's post-ReLU activation, before its dropout
-        (B x d_m -> B x embed_dim)."""
+        dropout with its keep mask from ``masks``, none in eval mode;
+        returns (embedding, last hidden activation). The embedding is fc2's
+        post-ReLU activation, before its dropout (B x d_m -> B x embed_dim).
+        """
         p = self.params
-        for layer in ("head.fc1", "head.fc2", "head.fc3"):
+        for layer, keep in zip(("head.fc1", "head.fc2", "head.fc3"),
+                               masks or (None,) * 3):
             act = tz.relu(tz.linear(c, p[layer + ".w"], p[layer + ".b"]))
             if layer == "head.fc2":
                 embedding = act
-            c = tz.dropout(act, self.config.head_dropout, rng)
+            c = tz.dropout(act, self.config.head_dropout, keep)
         return embedding, c
 
     def output_logits(self, h: Tensor, labels=None) -> Tensor:
@@ -253,27 +259,48 @@ class SaepModel:
 
     # -- end to end --------------------------------------------------------
 
+    def dropout_masks(self, shape: Tuple[int, int],
+                      rng: np.random.Generator) -> List[Optional[np.ndarray]]:
+        """The keep masks of a training pass over a (B, T) batch, drawn
+        from ``rng`` in the order the pass applies them: each encoder
+        block's projection then its FFN, then fc1, fc2 and fc3. A rate of 0
+        draws nothing and gives None."""
+        c = self.config
+        b, t = shape
+        layers = ([(c.encoder_dropout, (b, t, c.d_m))] * (2 * c.n_blocks)
+                  + [(c.head_dropout, (b, width))
+                     for width in (FC1_DIM, c.embed_dim, c.embed_dim)])
+        return [tz.dropout_mask(size, rate, rng) for rate, size in layers]
+
     def forward_loss(self, batch: np.ndarray, labels,
-                     train: bool = True,
-                     rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Loss over a batch of feature chunks (B x T x FEATURE_DIM);
-        ``train`` runs dropout with masks drawn from ``rng``."""
+                     train: bool = True, rng=None) -> Tensor:
+        """Loss over a batch of feature chunks (B x T x FEATURE_DIM).
+        ``train`` runs dropout, with masks drawn from the Generator ``rng``
+        or, when ``rng`` is a list, with the masks it holds: those of
+        ``dropout_masks``, cut to this batch's rows."""
         if train and rng is None:
             raise ValueError("a training forward pass needs an rng for its "
                              "dropout masks")
-        rng = rng if train else None
-        h = self.encode(Tensor(batch), rng=rng)
-        _, last = self.head(self.attention_pool(h), rng=rng)
+        masks = None
+        if train:
+            masks = (rng if isinstance(rng, list)
+                     else self.dropout_masks(batch.shape[:2], rng))
+        blocks = 2 * self.config.n_blocks
+        h = self.encode(Tensor(batch), masks and masks[:blocks])
+        _, last = self.head(self.attention_pool(h), masks and masks[blocks:])
         return tz.cross_entropy(self.output_logits(last, labels), labels)
 
-    def inference_view(self) -> "SaepModel":
-        """This model on new leaf tensors over its arrays, needing no grad."""
-        return SaepModel(self.config, {name: Tensor(p.data)
-                                       for name, p in self.params.items()})
+    def leaf_view(self, requires_grad: bool = False) -> "SaepModel":
+        """This model on new leaf tensors over its arrays: needing no grad
+        for extraction, or each training worker's own leaves to add its
+        gradients into."""
+        return SaepModel(self.config, {
+            name: Tensor(p.data, requires_grad=requires_grad)
+            for name, p in self.params.items()})
 
     def extract_embedding(self, feats: FeatureSequence) -> SpeakerEmbedding:
         """Full-utterance, eval-mode embedding from the second hidden layer."""
-        view = self.inference_view()
+        view = self.leaf_view()
         h = view.encode(Tensor(feats.frames))
         embedding = view.head(view.attention_pool(h))[0]
         return SpeakerEmbedding(vector=embedding.data.copy(),

@@ -374,18 +374,28 @@ def layer_norm(x, residual, gain, bias, eps: float = 1e-5) -> Tensor:
     return Tensor._from_op(out, (x, residual, gain, bias), backward)
 
 
-def dropout(x, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout with its mask drawn from ``rng``; identity if None.
-    The graph keeps the mask as bools and rescales in the same multiply
-    order in both passes."""
-    x = _as_tensor(x)
-    if rng is None or rate == 0.0:
-        return x
+def dropout_mask(shape, rate: float, rng: np.random.Generator
+                 ) -> Optional[np.ndarray]:
+    """The bool keep mask of ``dropout`` at ``rate``, drawn from ``rng``;
+    None, with no draw, at rate 0."""
+    if rate == 0.0:
+        return None
     # Compare in float32 so a rate that round-trips through float32
     # storage (e.g. in a checkpoint) yields bit-identical masks.
-    rate32 = np.float32(rate)
-    keep = rng.random(x.shape, dtype=np.float32) >= rate32
-    scale = 1.0 / (x.data.dtype.type(1.0) - rate32)
+    return rng.random(shape, dtype=np.float32) >= np.float32(rate)
+
+
+def dropout(x, rate: float, keep: Optional[np.ndarray]) -> Tensor:
+    """Inverted dropout with the bool mask ``keep`` from ``dropout_mask``;
+    identity if None. The graph keeps the mask and rescales in the same
+    multiply order in both passes."""
+    x = _as_tensor(x)
+    if keep is None:
+        return x
+    if keep.shape != x.shape:
+        raise DimensionError("dropout mask %s does not match %s"
+                             % (keep.shape, x.shape))
+    scale = 1.0 / (x.data.dtype.type(1.0) - np.float32(rate))
     # Zeroing before scaling gives each element exactly x * {0, scale}.
     out = x.data * keep
     out *= scale

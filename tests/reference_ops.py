@@ -87,7 +87,7 @@ def tsum(a) -> Tensor:
 def eval_logits(model, batch: np.ndarray) -> np.ndarray:
     """Eval-mode class logits for a batch of chunks, over the no-grad view
     of the model that extraction runs on."""
-    view = model.inference_view()
+    view = model.leaf_view()
     _, last = view.head(view.attention_pool(view.encode(Tensor(batch))))
     return view.output_logits(last).data
 

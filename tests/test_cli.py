@@ -1075,6 +1075,84 @@ class TestErrors:
         assert not out.exists()
 
 
+# Runs ``saep`` and prints the worker count of each training run to stderr.
+# ``main`` pins BLAS before the train command imports numpy.
+COUNT_WORKERS = """
+import sys
+from saep import cli
+command = cli._COMMANDS["train"]
+
+def train_command(args):
+    import saep.train as training
+    rule = training._workers
+
+    def spy(limit=None):
+        workers = rule(limit)
+        print("workers", workers, file=sys.stderr)
+        return workers
+
+    training._workers = spy
+    return command(args)
+
+cli._COMMANDS["train"] = train_command
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestThreads:
+    def test_one_and_two_threads_write_the_same_files(self, mini_corpus,
+                                                      tmp_path):
+        """``--threads 1`` runs a step's two slices one after the other and
+        ``--threads 2`` on two workers; the checkpoints and loss logs are
+        byte-identical."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TRAIN_CONFIG.replace("batch_size = 4", "batch_size = 5")
+                       .replace("steps = 2", "steps = 3"))
+        files = {}
+        for threads in (1, 2):
+            out = tmp_path / ("%d.ckpt" % threads)
+            log = tmp_path / ("%d.csv" % threads)
+            done = subprocess.run(
+                [sys.executable, "-c", COUNT_WORKERS, "--threads",
+                 str(threads), "train", "--config", str(cfg),
+                 "--manifest", mini_corpus.manifest_path, "--out", str(out),
+                 "--loss-log", str(log)],
+                env=child_env(), capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            cpus = len(os.sched_getaffinity(0))
+            assert done.stderr == "workers %d\n" % min(threads, cpus)
+            files[threads] = out.read_bytes(), log.read_bytes()
+        assert len(files[1][1].splitlines()) == 4
+        assert files[1] == files[2]
+
+    def test_threads_two_over_a_multi_threaded_blas_runs_one_worker(
+            self, mini_corpus, tmp_path, monkeypatch, capsys):
+        """In a process that loaded numpy before ``--threads`` was read, as
+        when a test calls ``main``, BLAS keeps its thread count, so the run
+        takes one worker."""
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(saep.train, "_blas_threads", lambda: 2)
+        chosen, rule = [], saep.train._workers
+        monkeypatch.setattr(saep.train, "_workers", lambda limit=None:
+                            chosen.append(rule(limit)) or chosen[-1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TRAIN_CONFIG)
+        assert main(["--threads", "2", "train", "--config", str(cfg),
+                     "--manifest", mini_corpus.manifest_path,
+                     "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert chosen == [1]
+
+    def test_blas_threads_reads_the_loaded_library(self):
+        done = subprocess.run(
+            [sys.executable, "-c", "import numpy, saep.train as t; "
+             "print(t._blas_threads())"],
+            env=dict(child_env(), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, check=True)
+        assert done.stdout == "1\n"
+
+
 class TestRecordFiles:
     @pytest.mark.parametrize("records,edit,fragment", [
         ([("a", (2,), bytes(8))], lambda b: b"NOPE" + b[4:], "bad magic"),

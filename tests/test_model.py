@@ -352,8 +352,7 @@ class TestForwardLoss:
         model = init_model(tiny_config(), seed=3)
         batch = np.random.default_rng(23).standard_normal((2, 8, 6)) \
             .astype(np.float32)
-        loss = model.inference_view().forward_loss(batch, [0, 2],
-                                                    train=False)
+        loss = model.leaf_view().forward_loss(batch, [0, 2], train=False)
         with pytest.raises(RuntimeError, match="no input required grad"):
             loss.backward()
         assert [p.grad for p in model.params.values()] == \
@@ -486,7 +485,7 @@ class TestQueryBlocks:
         for rows in (70, 32):
             monkeypatch.setattr(tz, "_QUERY_ROWS", rows)
             traces.append([])
-            toy_model.inference_view().encode(x, trace=traces[-1])
+            toy_model.leaf_view().encode(x, trace=traces[-1])
         for whole, blocked in zip(*traces):
             assert blocked.shape == (70, 70)
             assert blocked.tobytes() == whole.tobytes()

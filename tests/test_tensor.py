@@ -139,16 +139,23 @@ class TestDropout:
     def test_train_mode_preserves_expectation(self):
         rng = np.random.default_rng(4)
         x = Tensor(np.ones((200, 200), dtype=np.float32))
-        out = tz.dropout(x, 0.3, rng)
+        out = tz.dropout(x, 0.3, tz.dropout_mask(x.shape, 0.3, rng))
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_mask_values(self):
         rng = np.random.default_rng(5)
-        out = tz.dropout(Tensor(np.ones(1000, dtype=np.float32)), 0.4, rng)
+        out = tz.dropout(Tensor(np.ones(1000, dtype=np.float32)), 0.4,
+                         tz.dropout_mask((1000,), 0.4, rng))
         values = np.unique(out.data)
         assert len(values) == 2
         assert values[0] == 0.0
         np.testing.assert_allclose(values[1], 1.0 / 0.6, rtol=1e-6)
+
+    def test_mask_of_another_shape_is_rejected(self):
+        """A (4,) mask would broadcast over a (3, 4) input; it must not."""
+        keep = tz.dropout_mask((4,), 0.5, np.random.default_rng(6))
+        with pytest.raises(DimensionError, match=r"\(4,\).*\(3, 4\)"):
+            tz.dropout(Tensor(np.ones((3, 4), dtype=np.float32)), 0.5, keep)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -293,7 +300,8 @@ def test_every_op_keeps_float64():
         tz.linear(x, w, b), tz.attention(x, x, x), ref.transpose(x),
         tz.reshape(x, (6, 4)), tz.relu(x), ref.softmax_rows(x),
         tz.layer_norm(x, x, b, b),
-        tz.dropout(x, 0.5, np.random.default_rng(0)),
+        tz.dropout(x, 0.5, tz.dropout_mask(x.shape, 0.5,
+                                           np.random.default_rng(0))),
         tz.l2_normalize(x), ref.tsum(x),
         tz.cross_entropy(tz.reshape(x, (6, 4)), [0, 1, 2, 3, 0, 1]),
     ]
@@ -317,7 +325,8 @@ DTYPE_OPS = {
     "reshape": lambda x, b, s: tz.reshape(x, (-1,)),
     "relu": lambda x, b, s: tz.relu(x),
     "layer_norm": lambda x, b, s: tz.layer_norm(x, x, b, b),
-    "dropout": lambda x, b, s: tz.dropout(x, 0.3, np.random.default_rng(0)),
+    "dropout": lambda x, b, s: tz.dropout(
+        x, 0.3, tz.dropout_mask(x.shape, 0.3, np.random.default_rng(0))),
     "cross_entropy": lambda x, b, s: tz.cross_entropy(
         tz.reshape(x, (-1, x.shape[-1])), [0] * (x.data.size // x.shape[-1])),
     "l2_normalize": lambda x, b, s: tz.l2_normalize(x),
@@ -477,7 +486,7 @@ class TestBoolDropout:
         g = (data.standard_normal(shape)).astype(np.float32)
         g.reshape(-1)[1::4] = -0.0
         rng = np.random.default_rng(seed + 1)
-        out = tz.dropout(x, rate, rng)
+        out = tz.dropout(x, rate, tz.dropout_mask(shape, rate, rng))
         ref.tsum(tz.mul(out, Tensor(g))).backward()
 
         ref_rng = np.random.default_rng(seed + 1)

@@ -1,6 +1,9 @@
 import dataclasses
 import errno
+import itertools
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings, \
     strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import saep.train as training
 from saep import records
 from saep.checkpoint import Checkpoint, CheckpointFormatError, \
     load_checkpoint, model_from_checkpoint, read_records, save_checkpoint, \
@@ -16,10 +20,10 @@ from saep.features import FeatureSequence
 from saep.manifest import Manifest, ManifestError, load_manifest, \
     save_manifest
 from saep.model import LOSS_AM_SOFTMAX, LOSS_SOFTMAX, ModelConfig, \
-    count_params, init_model, param_shapes
+    SaepModel, count_params, init_model, param_shapes
 from saep.optim import ADAM_SETTINGS, AdamState
 from saep.tensor import Tensor
-from saep.train import TrainConfig, make_batch, train
+from saep.train import TrainConfig, TrainingDiverged, make_batch, train
 
 from reference_ops import chunk_accuracy
 
@@ -194,6 +198,131 @@ class TestTrainLoop:
         manifest, features = toy_corpus()
         with pytest.raises(ValueError):
             train(manifest, features, toy_model(), TrainConfig(steps=0))
+
+
+def spy_on_slices(monkeypatch):
+    """Record the thread and the row count of every forward pass."""
+    calls = []
+    forward_loss = SaepModel.forward_loss
+
+    def spy(self, batch, labels, train=True, rng=None):
+        calls.append((threading.get_ident(), len(labels)))
+        return forward_loss(self, batch, labels, train=train, rng=rng)
+
+    monkeypatch.setattr(SaepModel, "forward_loss", spy)
+    return calls
+
+
+class TestMicroBatches:
+    """A step runs fixed row slices of its batch on one or two worker
+    threads, and its numbers do not depend on how many."""
+
+    def run(self, monkeypatch, workers, steps=22, batch_size=32):
+        monkeypatch.setattr(training, "_workers", lambda limit=None: workers)
+        manifest, features = toy_corpus(n_speakers=4, utts=5)
+        return train(manifest, features,
+                     toy_model(n_speakers=4, loss=LOSS_AM_SOFTMAX),
+                     TrainConfig(steps=steps, batch_size=batch_size, seed=7))
+
+    def test_one_and_two_workers_agree_bit_for_bit(self, monkeypatch):
+        calls = spy_on_slices(monkeypatch)
+        one, trace_one = self.run(monkeypatch, 1)
+        assert len({thread for thread, _ in calls}) == 1
+        assert threading.get_ident() not in {thread for thread, _ in calls}
+        calls.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers finely
+        try:
+            two, trace_two = self.run(monkeypatch, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({thread for thread, _ in calls}) == 2
+        assert threading.get_ident() not in {thread for thread, _ in calls}
+        assert trace_one == trace_two
+        for got, want in ((two.params, one.params), (two.opt.m, one.opt.m),
+                          (two.opt.v, one.opt.v)):
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("batch_size,rows", [
+        (1, [1]), (5, [3, 2]), (17, [9, 8]), (32, [16, 16])])
+    def test_first_loss_matches_the_full_batch(self, monkeypatch, batch_size,
+                                               rows):
+        """The slices' share-weighted losses sum to the loss of one pass
+        over the whole batch with the step's RNG, to float32 reordering."""
+        manifest, features = toy_corpus()
+        model = toy_model()
+        rng = np.random.default_rng((5, 1))  # the RNG of step 1, seed 5
+        batch, labels = make_batch(manifest, features, batch_size, rng)
+        want = model.forward_loss(batch, labels, rng=rng).item()
+        calls = spy_on_slices(monkeypatch)
+        _, trace = train(manifest, features, model,
+                         TrainConfig(steps=3, batch_size=batch_size, seed=5))
+        assert [n for _, n in calls] == rows * 3
+        assert trace[0][1] == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert all(np.isfinite(loss) for _, loss in trace)
+
+    @pytest.mark.parametrize("fault", ["diverged", "worker_error"])
+    def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch,
+                                                      fault):
+        """It keeps its class and message, no thread outlives the run, and
+        the step that raised applies no Adam update."""
+        monkeypatch.setattr(training, "_workers", lambda limit=None: 2)
+        before = threading.active_count()
+        manifest, features = toy_corpus()
+        model = toy_model()
+        ckpt, _ = train(manifest, features, model,
+                        TrainConfig(steps=2, batch_size=4, seed=0))
+        assert threading.active_count() == before
+
+        class WorkerError(Exception):
+            pass
+
+        if fault == "diverged":
+            model.params["out.w"].data[:] = np.nan
+            expected, message = TrainingDiverged, "non-finite loss at step 3"
+        else:
+            forward_loss = SaepModel.forward_loss
+            passes = itertools.count()
+
+            def second_pass_fails(self, batch, labels, train=True, rng=None):
+                if next(passes) == 1:
+                    raise WorkerError("the second pass of step 3 failed")
+                return forward_loss(self, batch, labels, train=train, rng=rng)
+
+            monkeypatch.setattr(SaepModel, "forward_loss", second_pass_fails)
+            expected, message = WorkerError, "the second pass of step 3 failed"
+        kept = {name: p.data.copy() for name, p in model.params.items()}
+        with pytest.raises(expected) as exc:
+            train(manifest, features, model,
+                  TrainConfig(steps=4, batch_size=4, seed=0), opt=ckpt.opt)
+        assert type(exc.value) is expected and str(exc.value) == message
+        assert threading.active_count() == before
+        assert ckpt.opt.step == 2
+        for name, p in model.params.items():
+            assert p.grad is None
+            assert p.data.tobytes() == kept[name].tobytes(), name
+
+
+class TestWorkerRule:
+    @pytest.mark.parametrize("blas,cpus,limit,workers", [
+        (2, {0, 1}, None, 1),
+        (None, {0, 1}, None, 1),
+        (1, {0}, None, 1),
+        (1, {0, 1}, None, 2),
+        (1, {0, 1, 2, 3}, None, 2),
+        (1, {0, 1}, 1, 1),
+        (1, {0, 1}, 3, 2),
+        (2, {0, 1}, 2, 1),
+    ], ids=["multi_threaded_blas", "unreadable_blas", "one_cpu",
+            "one_blas_thread_two_cpus", "four_cpus", "limit_one",
+            "limit_above_micro_batches", "limit_two_over_multi_threaded_blas"])
+    def test_two_workers_only_over_a_single_threaded_blas(
+            self, monkeypatch, blas, cpus, limit, workers):
+        monkeypatch.setattr(training, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert training._workers(limit) == workers
 
 
 class TestCheckpointFormat:
