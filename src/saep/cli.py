@@ -1,8 +1,9 @@
 """Command line front end for the full pipeline.
 
-Subcommands: synth, train, extract, score, eval, count-params. Heavy
-imports happen inside ``main`` so that ``--threads`` can pin BLAS to one
-thread before numpy loads.
+Subcommands: synth, train, extract, score, eval, count-params. Each
+subcommand imports what it needs, so that ``train`` can pin BLAS to its
+workers' share of the CPUs before numpy loads; the others keep the
+library's BLAS threads.
 """
 
 from __future__ import annotations
@@ -12,28 +13,12 @@ import os
 import sys
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected an integer of at least "
-                                         "1, got %r" % text)
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saep",
         description="Self-attention speaker embeddings: synthesize a toy "
                     "corpus, train, extract embeddings, score trials, and "
                     "compute EER.")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="train on up to N worker threads (at most 2) "
-                             "with one BLAS thread each (default: the "
-                             "library's BLAS threads, and 2 workers only "
-                             "if that is one thread)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic harmonic corpus")
@@ -130,6 +115,13 @@ def _loss_log_through(path, step: int) -> str:
 
 
 def _cmd_train(args) -> int:
+    if "numpy" not in sys.modules:
+        # BLAS reads these when numpy loads: an equal share of this
+        # process's CPUs for each of the 2 (train.MICRO_BATCHES) workers.
+        share = str(max(1, len(os.sched_getaffinity(0)) // 2))
+        os.environ.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            share))
     from .cache import features_for_manifest
     from .checkpoint import load_checkpoint, model_from_checkpoint, \
         speaker_fingerprint
@@ -174,7 +166,7 @@ def _cmd_train(args) -> int:
                 print("step %d loss %.4f" % (step, loss), flush=True)
 
         train(manifest, features, model, train_config, opt=opt,
-              checkpoint_path=args.out, log=log, max_workers=args.threads)
+              checkpoint_path=args.out, log=log)
     print("wrote checkpoint %s" % args.out)
     return 0
 
@@ -259,15 +251,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:  # BLAS reads these when numpy loads
-        os.environ.update(dict.fromkeys(
-            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
-            "1"))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

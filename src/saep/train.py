@@ -107,16 +107,16 @@ def _blas_threads() -> Optional[int]:
     return None
 
 
-def _workers(limit: Optional[int] = None) -> int:
-    """Worker threads for the micro-batches: up to ``limit`` (at most
-    ``MICRO_BATCHES``), but one unless the loaded BLAS reports one thread
-    and this process may run on as many CPUs. Two workers over a
-    multi-threaded BLAS oversubscribe the cores: on 2 cores with 2 BLAS
-    threads, a toy step took 1.8x as long as on one worker.
+def _workers() -> int:
+    """Worker threads for the micro-batches: ``MICRO_BATCHES`` when the
+    loaded BLAS reports ``t`` threads and this process may run on at least
+    ``t * MICRO_BATCHES`` CPUs, otherwise (or when ``t`` cannot be read)
+    one. Two workers over a 2-thread BLAS on 2 cores oversubscribe them: a
+    toy step took 1.8x as long as on one worker.
     """
-    limit = MICRO_BATCHES if limit is None else min(limit, MICRO_BATCHES)
-    if limit > 1 and _blas_threads() == 1:
-        return min(limit, len(os.sched_getaffinity(0)))
+    threads = _blas_threads()
+    if threads and threads * MICRO_BATCHES <= len(os.sched_getaffinity(0)):
+        return MICRO_BATCHES
     return 1
 
 
@@ -156,20 +156,19 @@ def check_resume_step(step: int, config: TrainConfig) -> None:
 def train(manifest: Manifest, features: Dict[str, FeatureSequence],
           model: SaepModel, config: TrainConfig,
           opt: Optional[AdamState] = None, checkpoint_path=None,
-          log: Optional[Callable[[int, float], None]] = None,
-          max_workers: Optional[int] = None
+          log: Optional[Callable[[int, float], None]] = None
           ) -> Tuple[Checkpoint, List[Tuple[int, float]]]:
     """Run steps ``opt.step+1 .. config.steps``, from step 1 with the
     default Adam settings without ``opt``; returns the final checkpoint and
-    the (step, loss) trace. The micro-batches run on up to ``max_workers``
-    threads, as ``_workers`` allows; the numbers are the same on any."""
+    the (step, loss) trace. The micro-batches run on as many threads as
+    ``_workers`` gives; the numbers are the same on any."""
     config.validate()
     if opt is None:
         opt = AdamState()
     check_resume_step(opt.step, config)
     trace: List[Tuple[int, float]] = []
     speakers = speaker_fingerprint(manifest.label_map)
-    with ThreadPoolExecutor(_workers(max_workers)) as pool:
+    with ThreadPoolExecutor(_workers()) as pool:
         for step in range(opt.step + 1, config.steps + 1):
             rng = _step_rng(config.seed, step)
             batch, labels = make_batch(manifest, features,

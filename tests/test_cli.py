@@ -1018,19 +1018,6 @@ class TestErrors:
         assert "error: embeddings 'a' and 'b' must be vectors" in err
         assert "Traceback" not in err
 
-    def test_threads_equals_form_pins_blas(self, monkeypatch, capsys):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        assert main(["--threads=1", "count-params"]) == 0
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-
-    def test_zero_threads_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "0", "count-params"])
-        assert exc.value.code != 0
-        assert "--threads" in capsys.readouterr().err
-
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -1039,6 +1026,7 @@ class TestErrors:
         for name in ("synth", "train", "extract", "score", "eval",
                      "count-params"):
             assert name in out
+        assert "--threads" not in out
 
     @pytest.mark.parametrize("line,key", [
         ("am_scale = nan", "am_scale"),
@@ -1074,75 +1062,102 @@ class TestErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["d_ff", "batch_size"])
+    def test_config_too_large_for_memory(self, tmp_path, mini_corpus, capsys,
+                                         key):
+        """An array beyond the address space fails to allocate at once."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(
+            row + "\n" for row in TRAIN_CONFIG.splitlines()
+            if row.partition("=")[0].strip() != key)
+            + "%s = %d\n" % (key, 10 ** 15))
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--config", str(cfg), "--manifest",
+                   mini_corpus.manifest_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: out of memory: "), err
+        assert "Traceback" not in err
+        assert not out.exists()
 
-# Runs ``saep`` and prints the worker count of each training run to stderr.
-# ``main`` pins BLAS before the train command imports numpy.
+
+# Runs ``saep`` with its arguments after the first, on all of this process's
+# CPUs, on "one" of them, or as if it might use "four", and prints the worker
+# count and the BLAS thread count of each training run's pool to stderr.
+# Neither import loads numpy.
 COUNT_WORKERS = """
-import sys
+import os, sys
+from concurrent.futures import ThreadPoolExecutor
 from saep import cli
-command = cli._COMMANDS["train"]
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+elif sys.argv[1] == "four":
+    os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+init = ThreadPoolExecutor.__init__
 
-def train_command(args):
-    import saep.train as training
-    rule = training._workers
+def spy(self, max_workers=None, *args, **kwargs):
+    from saep.train import _blas_threads
+    print("workers", max_workers, "blas", _blas_threads(), file=sys.stderr)
+    init(self, max_workers, *args, **kwargs)
 
-    def spy(limit=None):
-        workers = rule(limit)
-        print("workers", workers, file=sys.stderr)
-        return workers
-
-    training._workers = spy
-    return command(args)
-
-cli._COMMANDS["train"] = train_command
-sys.exit(cli.main(sys.argv[1:]))
+ThreadPoolExecutor.__init__ = spy
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
 class TestThreads:
     def test_one_and_two_threads_write_the_same_files(self, mini_corpus,
                                                       tmp_path):
-        """``--threads 1`` runs a step's two slices one after the other and
-        ``--threads 2`` on two workers; the checkpoints and loss logs are
-        byte-identical."""
+        """``saep train`` pins BLAS to half of its CPUs and, on two or more,
+        runs a step's two slices on two workers; on one CPU it runs them
+        one after the other. At one BLAS thread the checkpoints and loss
+        logs of one and two workers are byte-identical; a BLAS thread
+        count reorders float32 sums, a worker count does not."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TRAIN_CONFIG.replace("batch_size = 4", "batch_size = 5")
                        .replace("steps = 2", "steps = 3"))
+        cpus = len(os.sched_getaffinity(0))
+        expected = {"all": (min(cpus, 2), max(1, cpus // 2)), "one": (1, 1)}
+        if cpus >= 2:  # OpenBLAS takes no more threads than there are CPUs
+            expected["four"] = (2, 2)
         files = {}
-        for threads in (1, 2):
-            out = tmp_path / ("%d.ckpt" % threads)
-            log = tmp_path / ("%d.csv" % threads)
+        for run, (workers, blas) in expected.items():
+            out = tmp_path / ("%s.ckpt" % run)
+            log = tmp_path / ("%s.csv" % run)
             done = subprocess.run(
-                [sys.executable, "-c", COUNT_WORKERS, "--threads",
-                 str(threads), "train", "--config", str(cfg),
-                 "--manifest", mini_corpus.manifest_path, "--out", str(out),
+                [sys.executable, "-c", COUNT_WORKERS, run, "train",
+                 "--config", str(cfg), "--manifest",
+                 mini_corpus.manifest_path, "--out", str(out),
                  "--loss-log", str(log)],
                 env=child_env(), capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
-            cpus = len(os.sched_getaffinity(0))
-            assert done.stderr == "workers %d\n" % min(threads, cpus)
-            files[threads] = out.read_bytes(), log.read_bytes()
-        assert len(files[1][1].splitlines()) == 4
-        assert files[1] == files[2]
+            assert done.stderr == "workers %d blas %d\n" % (workers, blas)
+            files[run] = out.read_bytes(), log.read_bytes()
+        assert len(files["all"][1].splitlines()) == 4
+        same_blas = [files[run] for run in expected if expected[run][1] == 1]
+        assert all(pair == same_blas[0] for pair in same_blas)
 
     def test_threads_two_over_a_multi_threaded_blas_runs_one_worker(
             self, mini_corpus, tmp_path, monkeypatch, capsys):
-        """In a process that loaded numpy before ``--threads`` was read, as
-        when a test calls ``main``, BLAS keeps its thread count, so the run
-        takes one worker."""
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
+        """In a process that loaded numpy before ``main`` ran, as when a
+        test calls it, BLAS keeps its thread count, so two worker threads
+        would oversubscribe the CPUs and the run takes one worker. The
+        BLAS variables of the environment stay as they were."""
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+        for var in blas_vars:
+            monkeypatch.setenv(var, "3")
         monkeypatch.setattr(saep.train, "_blas_threads", lambda: 2)
         chosen, rule = [], saep.train._workers
-        monkeypatch.setattr(saep.train, "_workers", lambda limit=None:
-                            chosen.append(rule(limit)) or chosen[-1])
+        monkeypatch.setattr(saep.train, "_workers",
+                            lambda: chosen.append(rule()) or chosen[-1])
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TRAIN_CONFIG)
-        assert main(["--threads", "2", "train", "--config", str(cfg),
+        assert main(["train", "--config", str(cfg),
                      "--manifest", mini_corpus.manifest_path,
                      "--out", str(tmp_path / "m.ckpt")]) == 0
         assert chosen == [1]
+        assert [os.environ[var] for var in blas_vars] == ["3"] * 3
 
     def test_blas_threads_reads_the_loaded_library(self):
         done = subprocess.run(
@@ -1335,7 +1350,9 @@ class TestLayering:
         ("saep.cache", ("saep.model",)),
         ("saep.features, saep.cache, saep.train, saep.checkpoint, saep.cli",
          ("scipy",)),
-    ], ids=["records_and_scoring", "feature_cache", "no_scipy"])
+        ("saep.cli", ("numpy",)),
+    ], ids=["records_and_scoring", "feature_cache", "no_scipy",
+            "cli_before_numpy"])
     def test_import_does_not_load(self, modules, below):
         loaded = subprocess.run(
             [sys.executable, "-c",

@@ -218,7 +218,7 @@ class TestMicroBatches:
     threads, and its numbers do not depend on how many."""
 
     def run(self, monkeypatch, workers, steps=22, batch_size=32):
-        monkeypatch.setattr(training, "_workers", lambda limit=None: workers)
+        monkeypatch.setattr(training, "_workers", lambda: workers)
         manifest, features = toy_corpus(n_speakers=4, utts=5)
         return train(manifest, features,
                      toy_model(n_speakers=4, loss=LOSS_AM_SOFTMAX),
@@ -268,7 +268,7 @@ class TestMicroBatches:
                                                       fault):
         """It keeps its class and message, no thread outlives the run, and
         the step that raised applies no Adam update."""
-        monkeypatch.setattr(training, "_workers", lambda limit=None: 2)
+        monkeypatch.setattr(training, "_workers", lambda: 2)
         before = threading.active_count()
         manifest, features = toy_corpus()
         model = toy_model()
@@ -306,23 +306,25 @@ class TestMicroBatches:
 
 
 class TestWorkerRule:
-    @pytest.mark.parametrize("blas,cpus,limit,workers", [
-        (2, {0, 1}, None, 1),
-        (None, {0, 1}, None, 1),
-        (1, {0}, None, 1),
-        (1, {0, 1}, None, 2),
-        (1, {0, 1, 2, 3}, None, 2),
-        (1, {0, 1}, 1, 1),
-        (1, {0, 1}, 3, 2),
-        (2, {0, 1}, 2, 1),
+    @pytest.mark.parametrize("blas,cpus,workers", [
+        (2, {0, 1}, 1),
+        (None, {0, 1}, 1),
+        (1, {0}, 1),
+        (1, {0, 1}, 2),
+        (1, {0, 1, 2, 3}, 2),
+        (2, {0, 1, 2, 3}, 2),
+        (3, {0, 1, 2, 3}, 1),
+        (1, {0, 1, 2}, 2),
     ], ids=["multi_threaded_blas", "unreadable_blas", "one_cpu",
-            "one_blas_thread_two_cpus", "four_cpus", "limit_one",
-            "limit_above_micro_batches", "limit_two_over_multi_threaded_blas"])
+            "one_blas_thread_two_cpus", "four_cpus",
+            "two_blas_threads_four_cpus", "three_blas_threads_four_cpus",
+            "three_cpus"])
     def test_two_workers_only_over_a_single_threaded_blas(
-            self, monkeypatch, blas, cpus, limit, workers):
+            self, monkeypatch, blas, cpus, workers):
+        """Two workers when both fit their BLAS threads on the CPUs."""
         monkeypatch.setattr(training, "_blas_threads", lambda: blas)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        assert training._workers(limit) == workers
+        assert training._workers() == workers
 
 
 class TestCheckpointFormat:
